@@ -4,7 +4,8 @@ All three operate on node/edge labels only.  The WL variant refines colors
 along forward (outgoing) neighborhoods, matching the directed walk semantics
 of the typed kernel, and compresses each refinement through an injective
 color dictionary.  Gram matrices are exact integer dot products of the
-per-iteration histograms, summed over iterations ``0..h``.
+per-iteration histograms, summed over iterations ``0..h``, and share the
+typed kernel's overflow refusal and normalization.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 import numpy as np
 import scipy.sparse as sp
 
-from .kernel import GramMatrix
+from .kernel import GramMatrix, _count_gram
 from .model import GraphFamily
 
 _MODES = ("generic", "application")
@@ -38,21 +39,9 @@ def _hist_gram(histograms: list[Counter], graph_ids, h, normalize) -> GramMatrix
             cols.append(j)
             data.append(count)
     x = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(histograms), max(len(columns), 1)), dtype=np.int64
+        (data, (rows, cols)), shape=(len(histograms), len(columns)), dtype=np.int64
     )
-    values = np.asarray((x @ x.T).todense(), dtype=np.int64)
-    return _maybe_normalize(GramMatrix(tuple(graph_ids), values, h, False), normalize)
-
-
-def _maybe_normalize(gm: GramMatrix, normalize: bool) -> GramMatrix:
-    if not normalize:
-        return gm
-    diag = np.diagonal(gm.values).astype(np.float64)
-    if np.any(diag <= 0):
-        bad = gm.graph_ids[int(np.argmin(diag))]
-        raise ValueError(f"cannot normalize: graph {bad!r} has zero self-kernel")
-    scale = np.sqrt(np.outer(diag, diag))
-    return GramMatrix(gm.graph_ids, gm.values.astype(np.float64) / scale, gm.h, True)
+    return _count_gram(x, tuple(graph_ids), h, normalize)
 
 
 def vh_gram(family: GraphFamily, label_mode: str = "application", normalize: bool = False) -> GramMatrix:
@@ -121,9 +110,11 @@ def wl_gram(
     """WL subtree kernel: summed histogram dot products over iterations 0..h."""
     iterations = wl_colorings(family, h, label_mode)
     graph_ids = [g.graph_id for g in family]
-    n = len(graph_ids)
-    total = np.zeros((n, n), dtype=np.int64)
-    for level in iterations:
-        hists = [Counter(level[gid].values()) for gid in graph_ids]
-        total += _hist_gram(hists, graph_ids, h, False).values
-    return _maybe_normalize(GramMatrix(tuple(graph_ids), total, h, False), normalize)
+    # Each refinement key embeds the previous iteration's color id, so color
+    # ids never repeat across iterations and one histogram over all of them
+    # sums the per-iteration dot products.
+    hists = [
+        Counter(c for level in iterations for c in level[gid].values())
+        for gid in graph_ids
+    ]
+    return _hist_gram(hists, graph_ids, h, normalize)

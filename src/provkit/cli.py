@@ -22,7 +22,6 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .kernel import (
     features_to_csv,
     gram,
     gram_to_csv,
+    parse_feature_name,
     retrieve_instances,
 )
 from .mlpipe import CvReport, balance_undersample, compare_reports, repeated_kfold
@@ -60,7 +60,6 @@ EXIT_INTERNAL = 4
 
 _LABEL_CANON = {"app": "application", "generic": "generic"}
 _METHOD_RE = re.compile(r"([AGag])([0-5])")
-_FEATURE_RE = re.compile(r"F([AG])(\d+)_(\d+)")
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class RunConfig:
     label_mode: str = "application"
     kernel: str = "pk"
     normalize: bool = False
-    threads: int = 1
     seed: int = 0
     C: float = 1.0
     k: int = 10
@@ -94,8 +92,6 @@ class RunConfig:
             raise ValueError(f"h must be in 0..5, got {self.h}")
         if self.label_mode not in ("generic", "application"):
             raise ValueError(f"unknown label mode {self.label_mode!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 class _ArtifactSink:
@@ -166,32 +162,9 @@ def _load_dataset(path: Path, need_labels: bool = False) -> Dataset:
     return ds
 
 
-def _infer(
-    family: GraphFamily, h: int, label_mode: str, threads: int = 1
-) -> TypeAssignment:
-    """Type inference, optionally chunked across worker threads.
-
-    Per-graph inference is independent, so any chunking produces the same
-    assignment; results never depend on the thread count.
-    """
-    if threads <= 1 or len(family) < 2:
-        return infer_types(family, h, label_mode)
-    chunks = [family.graphs[i::threads] for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(
-            lambda c: infer_types(GraphFamily(c), h, label_mode), chunks
-        )
-        by_graph: dict = {}
-        for part in parts:
-            by_graph.update(part.by_graph)
-    ids = tuple(g.graph_id for g in family)
-    return TypeAssignment(label_mode, h, ids, by_graph)
-
-
 def _build_gram(family: GraphFamily, cfg: RunConfig) -> GramMatrix:
     if cfg.kernel == "pk":
-        assign = _infer(family, cfg.h, cfg.label_mode, cfg.threads)
+        assign = infer_types(family, cfg.h, cfg.label_mode)
         fm = featurize(assign, build_universe(assign))
         return gram(fm, cfg.h, normalize=cfg.normalize)
     if cfg.kernel == "vh":
@@ -216,13 +189,13 @@ def _json_text(blob: dict) -> str:
 
 def cmd_types(cfg: RunConfig, sink: _ArtifactSink) -> None:
     ds = _load_dataset(cfg.data)
-    assign = _infer(ds.family, cfg.h, cfg.label_mode, cfg.threads)
+    assign = infer_types(ds.family, cfg.h, cfg.label_mode)
     _emit(cfg, sink, dump_types(assign))
 
 
 def cmd_featurize(cfg: RunConfig, sink: _ArtifactSink) -> None:
     ds = _load_dataset(cfg.data)
-    assign = _infer(ds.family, cfg.h, cfg.label_mode, cfg.threads)
+    assign = infer_types(ds.family, cfg.h, cfg.label_mode)
     fm = featurize(assign, build_universe(assign))
     csv_text, sidecar = features_to_csv(fm)
     sink.stage_text(cfg.out, csv_text)
@@ -270,7 +243,6 @@ def cmd_xval(cfg: RunConfig, sink: _ArtifactSink) -> None:
         C=cfg.C,
         seed=cfg.seed,
         featurize_seconds=elapsed,
-        threads=cfg.threads,
     )
     _emit(cfg, sink, _json_text(report.to_jsonable()))
 
@@ -298,16 +270,6 @@ def cmd_compare(cfg: RunConfig, sink: _ArtifactSink) -> None:
     _emit(cfg, sink, _json_text(result))
 
 
-def _parse_feature(name: str) -> tuple[str, int]:
-    m = _FEATURE_RE.fullmatch(name)
-    if not m:
-        raise ValueError(
-            f"not a feature name: {name!r} (expected FA<depth>_<index> or FG<depth>_<index>)"
-        )
-    mode = "application" if m.group(1) == "A" else "generic"
-    return mode, int(m.group(2))
-
-
 def cmd_explain(cfg: RunConfig, sink: _ArtifactSink) -> None:
     ds = _load_dataset(cfg.data)
     wanted = [cfg.feature] + ([cfg.distance_to] if cfg.distance_to else [])
@@ -315,15 +277,15 @@ def cmd_explain(cfg: RunConfig, sink: _ArtifactSink) -> None:
     universes: dict[str, TypeUniverse] = {}
     types = []
     for name in wanted:
-        mode, _ = _parse_feature(name)
+        mode, _, _ = parse_feature_name(name)
         if mode not in universes:
-            assigns[mode] = _infer(ds.family, cfg.h, mode, cfg.threads)
+            assigns[mode] = infer_types(ds.family, cfg.h, mode)
             universes[mode] = build_universe(assigns[mode])
         types.append(universes[mode].feature_lookup(name))
     if cfg.distance_to:
         _emit(cfg, sink, _json_text(distance_report(types[0], types[1])))
         return
-    mode, _ = _parse_feature(cfg.feature)
+    mode, _, _ = parse_feature_name(cfg.feature)
     hits = retrieve_instances(assigns[mode], types[0])
     blob = {
         "feature": cfg.feature,
@@ -369,7 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_threads(p):
-        p.add_argument("--threads", type=int, default=1, metavar="N")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            metavar="N",
+            help="accepted for compatibility; has no effect",
+        )
 
     def add_kernel(p):
         p.add_argument("--kernel", choices=("pk", "vh", "eh", "wl"), default="pk")
@@ -473,6 +441,8 @@ def _resolve_method(parser, args) -> tuple[str, int]:
 
 def config_from_args(parser, args) -> RunConfig:
     cmd = args.command
+    if getattr(args, "threads", 1) < 1:
+        parser.error("threads must be >= 1")
     try:
         if cmd == "simulate":
             sim = SimParams(
@@ -499,9 +469,9 @@ def config_from_args(parser, args) -> RunConfig:
                 out=args.out,
             )
         if cmd == "explain":
-            feature_depths = [_parse_feature(args.feature)[1]]
+            feature_depths = [parse_feature_name(args.feature)[1]]
             if args.distance_to:
-                feature_depths.append(_parse_feature(args.distance_to)[1])
+                feature_depths.append(parse_feature_name(args.distance_to)[1])
             h = args.h if args.h is not None else max(feature_depths)
             if h < max(feature_depths):
                 parser.error(
@@ -512,7 +482,6 @@ def config_from_args(parser, args) -> RunConfig:
                 command=cmd,
                 data=args.data,
                 h=h,
-                threads=args.threads,
                 feature=args.feature,
                 distance_to=args.distance_to,
                 out=args.out,
@@ -524,7 +493,6 @@ def config_from_args(parser, args) -> RunConfig:
             out=args.out,
             h=h,
             label_mode=label_mode,
-            threads=args.threads,
         )
         if cmd == "xval":
             return RunConfig(

@@ -30,7 +30,18 @@ class StaleUniverseError(KeyError):
     """An assignment mentions a type the universe does not contain."""
 
 
-_NAME_RE = re.compile(r"^F([AG])(\d+)_(\d+)$")
+_NAME_RE = re.compile(r"F([AG])([0-9]+)_([0-9]+)")
+
+
+def parse_feature_name(name: str) -> tuple[str, int, int]:
+    """Split ``FA<depth>_<index>`` / ``FG<depth>_<index>`` into (label mode, depth, index)."""
+    m = _NAME_RE.fullmatch(name)
+    if not m:
+        raise ValueError(
+            f"not a feature name: {name!r} (expected FA<depth>_<index> or FG<depth>_<index>)"
+        )
+    mode = "application" if m.group(1) == "A" else "generic"
+    return mode, int(m.group(2)), int(m.group(3))
 
 
 @dataclass(frozen=True)
@@ -74,11 +85,8 @@ class TypeUniverse:
         return f"{self.prefix}{depth}_{index}"
 
     def feature_lookup(self, name: str) -> PType:
-        m = _NAME_RE.match(name)
-        if not m:
-            raise ValueError(f"not a feature name: {name!r}")
-        mode, depth, index = m.group(1), int(m.group(2)), int(m.group(3))
-        if mode != self.prefix[1]:
+        mode, depth, index = parse_feature_name(name)
+        if mode != self.label_mode:
             raise ValueError(
                 f"{name!r} does not belong to a {self.label_mode}-mode universe"
             )
@@ -194,37 +202,44 @@ class GramMatrix:
     normalized: bool
 
 
+def _count_gram(
+    x: sp.csr_matrix, graph_ids: tuple[str, ...], h: int, normalize: bool
+) -> GramMatrix:
+    """Gram matrix of a non-negative integer count matrix (graphs x columns).
+
+    Entries are exact int64 dot products of the rows.  By Cauchy-Schwarz no
+    entry, and no partial sum of non-negative terms, exceeds the largest
+    self-kernel, so ``OverflowError`` is raised when that reaches 2**62.
+    """
+    self_kernels = np.asarray(x.astype(np.float64).power(2).sum(axis=1))
+    if self_kernels.max(initial=0.0) >= 2.0**62:
+        raise OverflowError(
+            "exact 64-bit kernel accumulation could overflow for this family"
+        )
+    values = np.asarray((x @ x.T).todense(), dtype=np.int64)
+    if not normalize:
+        return GramMatrix(graph_ids, values, h, False)
+    diag = np.diagonal(values).astype(np.float64)
+    if np.any(diag <= 0):
+        bad = graph_ids[int(np.argmin(diag))]
+        raise ValueError(f"cannot normalize: graph {bad!r} has zero self-kernel")
+    scale = np.sqrt(np.outer(diag, diag))
+    return GramMatrix(graph_ids, values.astype(np.float64) / scale, h, True)
+
+
 def gram(fm: FeatureMatrix, h: int | None = None, normalize: bool = False) -> GramMatrix:
     """The full kernel matrix over the featurized family.
 
-    Integer results are exact; a pre-check raises ``OverflowError`` if any
-    pairwise product could exceed the 64-bit accumulator.
+    The per-depth count matrices for depths ``0..h`` are joined side by side,
+    so one dot product sums the per-depth kernels.  Integer results are
+    exact; ``OverflowError`` is raised if the 64-bit accumulator could
+    overflow.
     """
     h = fm.universe.h_max if h is None else h
     if not 0 <= h <= fm.universe.h_max:
         raise ValueError(f"h {h} outside featurized range 0..{fm.universe.h_max}")
-    bound = 0
-    for s in range(h + 1):
-        rowsums = fm.mats[s].sum(axis=1)
-        top = int(rowsums.max()) if rowsums.size else 0
-        bound += top * top
-    if bound >= 2**62:
-        raise OverflowError(
-            "exact 64-bit kernel accumulation could overflow for this family"
-        )
-    n = len(fm.graph_ids)
-    total = np.zeros((n, n), dtype=np.int64)
-    for s in range(h + 1):
-        x = fm.mats[s]
-        total += np.asarray((x @ x.T).todense(), dtype=np.int64)
-    if not normalize:
-        return GramMatrix(fm.graph_ids, total, h, False)
-    diag = np.diagonal(total).astype(np.float64)
-    if np.any(diag <= 0):
-        bad = fm.graph_ids[int(np.argmin(diag))]
-        raise ValueError(f"cannot normalize: graph {bad!r} has zero self-kernel")
-    scale = np.sqrt(np.outer(diag, diag))
-    return GramMatrix(fm.graph_ids, total.astype(np.float64) / scale, h, True)
+    x = sp.hstack(fm.mats[: h + 1], format="csr", dtype=np.int64)
+    return _count_gram(x, fm.graph_ids, h, normalize)
 
 
 def hamming_distance(a: PType, b: PType) -> Fraction:

@@ -1,14 +1,13 @@
 """Evaluation pipeline: class balancing, repeated k-fold CV, rank tests.
 
 All randomness is driven by numpy ``SeedSequence`` spawning so that runs are
-reproducible for a given seed regardless of thread count.
+reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -132,9 +131,8 @@ def repeated_kfold(
 ) -> CvReport:
     """Repeated stratified k-fold CV of a kernel SVM on a precomputed Gram.
 
-    Returns per-fold accuracies in (repeat, fold) order.  Results are
-    identical for any ``threads`` value; extra threads only run independent
-    folds concurrently.
+    Returns per-fold accuracies in (repeat, fold) order.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     arr = np.array([str(x) for x in labels])
@@ -146,25 +144,15 @@ def repeated_kfold(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     children = np.random.SeedSequence(seed).spawn(repeats)
-    tasks = []
+    accuracies = []
     for r in range(repeats):
         folds = _fold_assignment(arr, k, np.random.default_rng(children[r]))
         for f in range(k):
             test = np.flatnonzero(folds == f)
             train = np.flatnonzero(folds != f)
-            tasks.append((train, test))
-
-    def run_fold(split: tuple[np.ndarray, np.ndarray]) -> float:
-        train, test = split
-        model = svm_train(kernel[np.ix_(train, train)], arr[train], C=C, tol=tol)
-        pred = model.predict(kernel[np.ix_(test, train)])
-        return float(np.mean(np.array(pred) == arr[test]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accuracies = list(pool.map(run_fold, tasks))
-    else:
-        accuracies = [run_fold(t) for t in tasks]
+            model = svm_train(kernel[np.ix_(train, train)], arr[train], C=C, tol=tol)
+            pred = model.predict(kernel[np.ix_(test, train)])
+            accuracies.append(float(np.mean(np.array(pred) == arr[test])))
     return CvReport.from_accuracies(accuracies, featurize_seconds)
 
 

@@ -88,9 +88,6 @@ class ProvGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def out_edges(self, node: str) -> list[tuple[str, str, str]]:
-        return [e for e in self.edges if e[0] == node]
-
     def strip_application_labels(self) -> "ProvGraph":
         """A copy of the graph keeping only generic node labels.
 

@@ -34,7 +34,6 @@ amounts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -354,13 +353,3 @@ def generate_dataset(params: SimParams) -> Dataset:
     }
     return Dataset(family=GraphFamily(tuple(graphs)), class_labels=labels, meta=meta)
 
-
-def activity_counts(graphs: Iterable[ProvGraph]) -> dict[str, int]:
-    """Total occurrences of each activity label across the given graphs."""
-    out = {label: 0 for label in _ACTIVITY_LABEL.values()}
-    for g in graphs:
-        for labels in g.nodes.values():
-            for lab in labels:
-                if lab in out:
-                    out[lab] += 1
-    return out

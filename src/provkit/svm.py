@@ -14,7 +14,7 @@ ties resolved toward the lowest class in sorted order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class BinarySvm:
     C: float
     n_iter: int
     converged: bool
-    objective_history: list[float] = field(default_factory=list)
 
     @property
     def dual_coef(self) -> np.ndarray:
@@ -172,7 +171,7 @@ def svm_train(
     arr = np.array(labels)
     for cls in classes:
         y = np.where(arr == cls, 1.0, -1.0)
-        alpha, b, it, ok, history = smo_solve(k, y, C, tol, max_iter)
+        alpha, b, it, ok, _ = smo_solve(k, y, C, tol, max_iter)
         models.append(
             BinarySvm(
                 target=cls,
@@ -182,7 +181,6 @@ def svm_train(
                 C=C,
                 n_iter=it,
                 converged=ok,
-                objective_history=history,
             )
         )
     return OvrSvm(classes=classes, models=tuple(models), C=C)

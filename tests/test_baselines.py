@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_family
-from provkit.baselines import eh_gram, vh_gram, wl_colorings, wl_gram
+from provkit.baselines import _hist_gram, eh_gram, vh_gram, wl_colorings, wl_gram
 from provkit.fixtures import pattern_fixtures
 from provkit.kernel import build_universe, featurize, gram
 from provkit.model import GraphFamily, ProvGraph
@@ -44,6 +44,13 @@ def test_eh_counts_parallel_edges():
     assert gm.values.tolist() == [[4, 2], [2, 1]]
 
 
+def test_histogram_overflow_refused():
+    below = _hist_gram([Counter({"x": 2**31 - 1})], ["g"], 0, False)
+    assert below.values[0, 0] == (2**31 - 1) ** 2
+    with pytest.raises(OverflowError):
+        _hist_gram([Counter({"x": 2**31})], ["g"], 0, False)
+
+
 class TestWl:
     def test_iteration_zero_is_label_histogram(self):
         rng = random.Random(4)
@@ -62,6 +69,23 @@ class TestWl:
                     if c in seen:
                         assert prev[gid][seen[c]] == prev[gid][nid]
                     seen[c] = nid
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_values_sum_iteration_dot_products(self, seed):
+        rng = random.Random(100 + seed)
+        fam = random_family(rng, 6, max_nodes=12, max_edges=25)
+        ids = [g.graph_id for g in fam]
+        levels = wl_colorings(fam, 3)
+        for h in range(4):
+            hists = [[Counter(level[gid].values()) for gid in ids] for level in levels[: h + 1]]
+            want = [
+                [
+                    sum(sum(c * it[j][key] for key, c in it[i].items()) for it in hists)
+                    for j in range(len(ids))
+                ]
+                for i in range(len(ids))
+            ]
+            assert wl_gram(fam, h).values.tolist() == want
 
     def test_wl_psd(self):
         rng = random.Random(6)

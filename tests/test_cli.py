@@ -263,6 +263,10 @@ class TestExitCodes:
         assert run("gram", "--data", sim_dir, "--h", 7,
                    "--out", tmp_path / "g.csv") == 2
 
+    def test_threads_below_one(self, sim_dir, tmp_path):
+        assert run("gram", "--data", sim_dir, "--threads", 0,
+                   "--out", tmp_path / "g.csv") == 2
+
     def test_missing_data(self, tmp_path):
         assert run("types", "--data", tmp_path / "nope") == 3
 

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family
 from provkit.fixtures import admission_fixture, feature_vector_fixture
 from provkit.kernel import (
+    FeatureMatrix,
     StaleUniverseError,
+    TypeUniverse,
     build_universe,
     distance_report,
     featurize,
@@ -74,6 +77,9 @@ class TestFeatureVectorFixture:
             self.universe.feature_lookup("FA1_0")
         with pytest.raises(ValueError):
             self.universe.feature_lookup("FG9_0")
+        for malformed in ("FG1_0\n", "FG\u0661_0"):
+            with pytest.raises(ValueError):
+                self.universe.feature_lookup(malformed)
 
 
 class TestHamming:
@@ -188,6 +194,20 @@ class TestGram:
             if prev is not None:
                 assert (cur >= prev).all()
             prev = cur
+
+    def test_overflow_refused(self):
+        # Depth 0 alone has self-kernel (2**31 - 1)**2 < 2**62; adding depth 1
+        # (2**16 squared) brings it to 2**62 + 1.
+        universe = TypeUniverse(
+            "generic", 1, ((t({"ent"}),), (t({"der"}, {"ent"}),))
+        )
+        mats = tuple(
+            sp.csr_matrix(np.array([[c]], dtype=np.int64)) for c in (2**31 - 1, 2**16)
+        )
+        fm = FeatureMatrix(universe, ("g",), mats)
+        assert gram(fm, 0).values[0, 0] == (2**31 - 1) ** 2
+        with pytest.raises(OverflowError):
+            gram(fm, 1)
 
     def test_stale_universe_detected(self):
         rng = random.Random(13)
