@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kernel import GramMatrix, _count_gram
 from .model import GraphFamily
@@ -31,16 +30,13 @@ def _prepared(family: GraphFamily, label_mode: str) -> list:
 
 def _hist_gram(histograms: list[Counter], graph_ids, h, normalize) -> GramMatrix:
     columns: dict = {}
-    rows, cols, data = [], [], []
+    for hist in histograms:
+        for key in hist:
+            columns.setdefault(key, len(columns))
+    x = np.zeros((len(histograms), len(columns)), dtype=np.int64)
     for r, hist in enumerate(histograms):
         for key, count in hist.items():
-            j = columns.setdefault(key, len(columns))
-            rows.append(r)
-            cols.append(j)
-            data.append(count)
-    x = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(histograms), len(columns)), dtype=np.int64
-    )
+            x[r, columns[key]] = count
     return _count_gram(x, tuple(graph_ids), h, normalize)
 
 

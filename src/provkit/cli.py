@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import re
-import shutil
 import sys
 import tempfile
 import time
@@ -44,13 +43,7 @@ from .mlpipe import CvReport, balance_undersample, compare_reports, repeated_kfo
 from .model import Dataset, GraphFamily
 from .pgsim import MODES, SimParams, generate_dataset
 from .provjson import DataFormatError, load_provjson
-from .storage import (
-    FORMAT_TAG,
-    GRAPHS_NAME,
-    MANIFEST_NAME,
-    load_internal,
-    save_internal,
-)
+from .storage import FORMAT_TAG, MANIFEST_NAME, dataset_texts, load_internal
 from .typeinf import TypeAssignment, dump_types, infer_types
 
 EXIT_OK = 0
@@ -100,24 +93,15 @@ class _ArtifactSink:
     def __init__(self) -> None:
         self._staged: list[tuple[Path, Path]] = []
 
-    def _tmp_for(self, final: Path) -> Path:
+    def stage_text(self, final: Path, text: str) -> None:
+        final = Path(final)
         final.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
+        fd, name = tempfile.mkstemp(
             dir=final.parent, prefix=f".{final.name}.", suffix=".part"
         )
         os.close(fd)
-        return Path(tmp)
-
-    def stage_text(self, final: Path, text: str) -> None:
-        final = Path(final)
-        tmp = self._tmp_for(final)
+        tmp = Path(name)
         tmp.write_text(text, encoding="utf-8")
-        self._staged.append((tmp, final))
-
-    def stage_file(self, final: Path, source: Path) -> None:
-        final = Path(final)
-        tmp = self._tmp_for(final)
-        shutil.copyfile(source, tmp)
         self._staged.append((tmp, final))
 
     def commit(self) -> list[Path]:
@@ -221,10 +205,8 @@ def cmd_gram(cfg: RunConfig, sink: _ArtifactSink) -> None:
 
 def cmd_simulate(cfg: RunConfig, sink: _ArtifactSink) -> None:
     ds = generate_dataset(cfg.sim)
-    with tempfile.TemporaryDirectory() as td:
-        save_internal(ds, td)
-        for name in (GRAPHS_NAME, MANIFEST_NAME):
-            sink.stage_file(Path(cfg.out) / name, Path(td) / name)
+    for name, text in dataset_texts(ds).items():
+        sink.stage_text(Path(cfg.out) / name, text)
 
 
 def cmd_xval(cfg: RunConfig, sink: _ArtifactSink) -> None:

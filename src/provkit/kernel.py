@@ -11,6 +11,9 @@ lexicographic order of the serialized types within each depth.
 ``hamming_distance`` compares two types of equal depth layer by layer: the
 total symmetric-difference size over the total union size, as an exact
 fraction in ``[0, 1]``.
+
+Count matrices are dense int64 arrays (graphs x columns): typed universes
+hold a few dozen types per depth, so the matrices stay small.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .typeinf import EMPTY, PType, TypeAssignment
 
@@ -116,11 +118,11 @@ def build_universe(assignment: TypeAssignment) -> TypeUniverse:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-depth sparse count matrices (graphs x universe types)."""
+    """Per-depth dense int64 count matrices (graphs x universe types)."""
 
     universe: TypeUniverse
     graph_ids: tuple[str, ...]
-    mats: tuple[sp.csr_matrix, ...]
+    mats: tuple[np.ndarray, ...]
 
     def row_index(self, graph_id: str) -> int:
         lookup = getattr(self, "_row_cache", None)
@@ -136,10 +138,7 @@ class FeatureMatrix:
         """The concatenated exact count vector for depths ``0..h``."""
         h = self.universe.h_max if h is None else h
         row = self.row_index(graph_id)
-        out: list[int] = []
-        for s in range(h + 1):
-            out.extend(int(x) for x in self.mats[s][row].toarray().ravel())
-        return out
+        return [v for m in self.mats[: h + 1] for v in m[row].tolist()]
 
 
 def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatrix:
@@ -150,9 +149,7 @@ def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatr
     graph_ids = assignment.graph_ids
     mats = []
     for depth in range(assignment.h_max + 1):
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[int] = []
+        x = np.zeros((len(graph_ids), universe.size(depth)), dtype=np.int64)
         for r, gid in enumerate(graph_ids):
             counts: Counter[PType] = Counter()
             for types in assignment.by_graph[gid].values():
@@ -160,16 +157,8 @@ def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatr
                 if t is not EMPTY:
                     counts[t] += 1
             for t, c in counts.items():
-                rows.append(r)
-                cols.append(universe.index_of(t))
-                data.append(c)
-        mats.append(
-            sp.csr_matrix(
-                (data, (rows, cols)),
-                shape=(len(graph_ids), universe.size(depth)),
-                dtype=np.int64,
-            )
-        )
+                x[r, universe.index_of(t)] = c
+        mats.append(x)
     return FeatureMatrix(universe, tuple(graph_ids), tuple(mats))
 
 
@@ -182,16 +171,11 @@ def kernel_value(fm: FeatureMatrix, p: str, q: str, h: int | None = None) -> int
     if not 0 <= h <= fm.universe.h_max:
         raise ValueError(f"h {h} outside featurized range 0..{fm.universe.h_max}")
     rp, rq = fm.row_index(p), fm.row_index(q)
-    total = 0
-    for s in range(h + 1):
-        a = fm.mats[s].getrow(rp)
-        b = fm.mats[s].getrow(rq)
-        bmap = {int(j): int(v) for j, v in zip(b.indices, b.data)}
-        for j, v in zip(a.indices, a.data):
-            w = bmap.get(int(j))
-            if w is not None:
-                total += int(v) * w
-    return total
+    return sum(
+        a * b
+        for m in fm.mats[: h + 1]
+        for a, b in zip(m[rp].tolist(), m[rq].tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -203,7 +187,7 @@ class GramMatrix:
 
 
 def _count_gram(
-    x: sp.csr_matrix, graph_ids: tuple[str, ...], h: int, normalize: bool
+    x: np.ndarray, graph_ids: tuple[str, ...], h: int, normalize: bool
 ) -> GramMatrix:
     """Gram matrix of a non-negative integer count matrix (graphs x columns).
 
@@ -211,12 +195,12 @@ def _count_gram(
     entry, and no partial sum of non-negative terms, exceeds the largest
     self-kernel, so ``OverflowError`` is raised when that reaches 2**62.
     """
-    self_kernels = np.asarray(x.astype(np.float64).power(2).sum(axis=1))
+    self_kernels = np.square(x, dtype=np.float64).sum(axis=1)
     if self_kernels.max(initial=0.0) >= 2.0**62:
         raise OverflowError(
             "exact 64-bit kernel accumulation could overflow for this family"
         )
-    values = np.asarray((x @ x.T).todense(), dtype=np.int64)
+    values = x @ x.T
     if not normalize:
         return GramMatrix(graph_ids, values, h, False)
     diag = np.diagonal(values).astype(np.float64)
@@ -238,8 +222,7 @@ def gram(fm: FeatureMatrix, h: int | None = None, normalize: bool = False) -> Gr
     h = fm.universe.h_max if h is None else h
     if not 0 <= h <= fm.universe.h_max:
         raise ValueError(f"h {h} outside featurized range 0..{fm.universe.h_max}")
-    x = sp.hstack(fm.mats[: h + 1], format="csr", dtype=np.int64)
-    return _count_gram(x, fm.graph_ids, h, normalize)
+    return _count_gram(np.hstack(fm.mats[: h + 1]), fm.graph_ids, h, normalize)
 
 
 def hamming_distance(a: PType, b: PType) -> Fraction:

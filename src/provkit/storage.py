@@ -39,36 +39,63 @@ def record_to_graph(record: dict) -> tuple[ProvGraph, str]:
     try:
         gid = record["id"]
         label = record["label"]
-        nodes = {n["id"]: frozenset(n["labels"]) for n in record["nodes"]}
-        edges = tuple((s, d, l) for s, d, l in record["edges"])
+        node_records = record["nodes"]
+        edge_records = record["edges"]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed graph record: {exc}") from exc
+    if not isinstance(gid, str):
+        raise DataFormatError(f"graph {gid!r}: graph id must be a string")
     if not isinstance(label, str):
         raise DataFormatError(f"graph {gid!r}: class label must be a string")
+    nodes: dict = {}
+    try:
+        for n in node_records:
+            nid, labels = n["id"], n["labels"]
+            if not isinstance(nid, str) or not isinstance(labels, list):
+                raise DataFormatError(
+                    f"graph {gid!r}: node {nid!r} needs a string id and a list of labels"
+                )
+            if nid in nodes:
+                raise DataFormatError(f"graph {gid!r}: duplicate node id {nid!r}")
+            nodes[nid] = frozenset(labels)
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"graph {gid!r}: malformed node record: {exc}") from exc
+    if not all(isinstance(lab, str) for lab in frozenset().union(*nodes.values())):
+        raise DataFormatError(f"graph {gid!r}: node labels must be strings")
+    try:
+        edges = tuple((s, d, l) for s, d, l in edge_records)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"graph {gid!r}: malformed edge: {exc}") from exc
     try:
         return ProvGraph(gid, nodes, edges), label
     except ValueError as exc:
         raise DataFormatError(f"graph {gid!r}: {exc}") from exc
 
 
-def save_internal(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write ``dataset`` under ``out_dir`` and return the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def dataset_texts(dataset: Dataset) -> dict[str, str]:
+    """The files of a saved dataset, by name: graph records and manifest."""
     lines = []
     for g in dataset.family:
         rec = graph_to_record(g, dataset.class_labels[g.graph_id])
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    (out / GRAPHS_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = {
         "format": FORMAT_TAG,
         "files": [GRAPHS_NAME],
         "class_labels": dict(sorted(dataset.class_labels.items())),
         "meta": dataset.meta,
     }
-    (out / MANIFEST_NAME).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return {
+        GRAPHS_NAME: "\n".join(lines) + "\n",
+        MANIFEST_NAME: json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+    }
+
+
+def save_internal(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write ``dataset`` under ``out_dir`` and return the manifest path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in dataset_texts(dataset).items():
+        (out / name).write_text(text, encoding="utf-8")
     return out / MANIFEST_NAME
 
 

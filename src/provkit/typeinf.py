@@ -199,33 +199,21 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
             mask |= bit
         return mask
 
-    # Interned decode caches shared across the family.  Node-label bits are
-    # assigned once per family, so decoded results stay valid for all graphs.
+    # Types interned across the family.  Node-label bits are assigned once
+    # per family, so each distinct key decodes the same way in every graph.
     edge_names = sorted(_EDGE_BIT)
-    edge_decode: dict[int, frozenset[str]] = {}
-    node_decode: dict[int, frozenset[str]] = {}
     ptype_cache: dict[tuple, PType] = {(): EMPTY}
-
-    def decode_edge_mask(mask: int) -> frozenset[str]:
-        hit = edge_decode.get(mask)
-        if hit is None:
-            hit = frozenset(lab for lab in edge_names if _EDGE_BIT[lab] & mask)
-            edge_decode[mask] = hit
-        return hit
-
-    def decode_node_mask(mask: int) -> frozenset[str]:
-        hit = node_decode.get(mask)
-        if hit is None:
-            hit = frozenset(lab for lab, bit in node_bit.items() if bit & mask)
-            node_decode[mask] = hit
-        return hit
 
     def intern(edge_layers: tuple[int, ...], tau0: int) -> PType:
         key = edge_layers + (-1, tau0)
         hit = ptype_cache.get(key)
         if hit is None:
-            layers = tuple(decode_edge_mask(m) for m in edge_layers)
-            hit = PType(layers + (decode_node_mask(tau0),))
+            layers = tuple(
+                frozenset(lab for lab in edge_names if _EDGE_BIT[lab] & m)
+                for m in edge_layers
+            )
+            tau0_labels = frozenset(lab for lab, bit in node_bit.items() if bit & tau0)
+            hit = PType(layers + (tau0_labels,))
             ptype_cache[key] = hit
         return hit
 

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import provkit
 from provkit.cli import main
 from provkit.model import Dataset, GraphFamily, ProvGraph
 from provkit.storage import load_internal, save_internal
@@ -32,6 +37,15 @@ def two_class_dataset(path, n_a=8, n_b=8):
             labels[gid] = cls
     save_internal(Dataset(GraphFamily(tuple(graphs)), labels, {}), path)
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(provkit.__file__).parents[1]))
+    code = "import sys, provkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture()

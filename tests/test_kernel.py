@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,9 +200,7 @@ class TestGram:
         universe = TypeUniverse(
             "generic", 1, ((t({"ent"}),), (t({"der"}, {"ent"}),))
         )
-        mats = tuple(
-            sp.csr_matrix(np.array([[c]], dtype=np.int64)) for c in (2**31 - 1, 2**16)
-        )
+        mats = tuple(np.array([[c]], dtype=np.int64) for c in (2**31 - 1, 2**16))
         fm = FeatureMatrix(universe, ("g",), mats)
         assert gram(fm, 0).values[0, 0] == (2**31 - 1) ** 2
         with pytest.raises(OverflowError):
@@ -254,6 +251,8 @@ class TestRetrieve:
         fam = random_family(rng, 5, max_nodes=10, max_edges=20)
         assignment, universe, fm = pipeline(fam, 2, "application")
         for d in range(3):
+            assert fm.mats[d].dtype == np.int64
+            assert fm.mats[d].shape == (len(fm.graph_ids), universe.size(d))
             for i, tt in enumerate(universe.per_depth[d]):
                 hits = retrieve_instances(assignment, tt)
                 col = sum(int(fm.mats[d][r, i]) for r in range(len(fm.graph_ids)))

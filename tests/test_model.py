@@ -237,6 +237,29 @@ class TestStorage:
         with pytest.raises(DataFormatError):
             load_internal(p)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", [{"id": "n", "labels": "ent"}]),
+            ("nodes", [{"id": "n", "labels": ["ent"]}, {"id": "n", "labels": ["act"]}]),
+            ("id", 7),
+            ("edges", [["n", "n"]]),
+            ("nodes", [{"id": 1, "labels": ["ent"]}]),
+            ("nodes", [{"id": "n", "labels": ["ent", 5]}]),
+        ],
+        ids=[
+            "string-labels", "duplicate-node", "int-graph-id", "two-item-edge",
+            "int-node-id", "int-label",
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, field, value):
+        rec = {"id": "g1", "label": "a", "nodes": [{"id": "n", "labels": ["ent"]}], "edges": []}
+        rec[field] = value
+        p = tmp_path / "x.jsonl"
+        p.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(DataFormatError, match=repr(rec["id"])):
+            load_internal(p)
+
     def test_bare_jsonl_loading(self, tmp_path):
         p = tmp_path / "x.jsonl"
         rec = {"id": "g1", "label": "a", "nodes": [{"id": "n", "labels": ["ent"]}], "edges": []}
