@@ -53,6 +53,8 @@ EXIT_INTERNAL = 4
 
 _LABEL_CANON = {"app": "application", "generic": "generic"}
 _METHOD_RE = re.compile(r"([AGag])([0-5])")
+#: Characters encoded per write when staging an artifact (1 MiB).
+_WRITE_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,12 @@ class _ArtifactSink:
         fd, name = tempfile.mkstemp(
             dir=final.parent, prefix=f".{final.name}.", suffix=".part"
         )
-        os.close(fd)
-        tmp = Path(name)
-        tmp.write_text(text, encoding="utf-8")
-        self._staged.append((tmp, final))
+        # Registered before writing, so a failed write is discarded too.
+        self._staged.append((Path(name), final))
+        with os.fdopen(fd, "wb") as fh:
+            # Encoding slice by slice never holds the whole text encoded.
+            for i in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[i : i + _WRITE_CHARS].encode("utf-8"))
 
     def commit(self) -> list[Path]:
         done = []

@@ -19,13 +19,12 @@ hold a few dozen types per depth, so the matrices stay small.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .typeinf import EMPTY, PType, TypeAssignment
+from .typeinf import PType, TypeAssignment
 
 
 class StaleUniverseError(KeyError):
@@ -106,14 +105,8 @@ class TypeUniverse:
 
 
 def build_universe(assignment: TypeAssignment) -> TypeUniverse:
-    levels: list[set[PType]] = [set() for _ in range(assignment.h_max + 1)]
-    for gid in assignment.graph_ids:
-        for types in assignment.by_graph[gid].values():
-            for depth, t in enumerate(types):
-                if t is not EMPTY:
-                    levels[depth].add(t)
-    ordered = tuple(tuple(sorted(level, key=PType.key)) for level in levels)
-    return TypeUniverse(assignment.label_mode, assignment.h_max, ordered)
+    """The assignment's distinct non-EMPTY types per depth, already canonical."""
+    return TypeUniverse(assignment.label_mode, assignment.h_max, assignment.types)
 
 
 @dataclass(frozen=True)
@@ -142,24 +135,24 @@ class FeatureMatrix:
 
 
 def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatrix:
+    """Per-depth counts of each universe type among each graph's nodes.
+
+    Raises ``StaleUniverseError`` if the assignment holds a type the universe
+    lacks.
+    """
     if universe.h_max != assignment.h_max:
         raise ValueError(
             f"universe depth {universe.h_max} != assignment depth {assignment.h_max}"
         )
-    graph_ids = assignment.graph_ids
+    rows = len(assignment.graph_ids)
     mats = []
-    for depth in range(assignment.h_max + 1):
-        x = np.zeros((len(graph_ids), universe.size(depth)), dtype=np.int64)
-        for r, gid in enumerate(graph_ids):
-            counts: Counter[PType] = Counter()
-            for types in assignment.by_graph[gid].values():
-                t = types[depth]
-                if t is not EMPTY:
-                    counts[t] += 1
-            for t, c in counts.items():
-                x[r, universe.index_of(t)] = c
-        mats.append(x)
-    return FeatureMatrix(universe, tuple(graph_ids), tuple(mats))
+    for depth, (level, codes) in enumerate(zip(assignment.types, assignment.codes)):
+        k = universe.size(depth)
+        column = np.array([universe.index_of(t) for t in level], dtype=np.int64)
+        typed = codes >= 0
+        cells = assignment.graph_of[typed] * k + column[codes[typed]]
+        mats.append(np.bincount(cells, minlength=rows * k).reshape(rows, k))
+    return FeatureMatrix(universe, assignment.graph_ids, tuple(mats))
 
 
 def kernel_value(fm: FeatureMatrix, p: str, q: str, h: int | None = None) -> int:
@@ -264,13 +257,11 @@ def retrieve_instances(
     depth = t.depth
     if depth > assignment.h_max:
         raise ValueError(f"depth {depth} exceeds inferred range 0..{assignment.h_max}")
-    hits = [
-        (gid, nid)
-        for gid in assignment.graph_ids
-        for nid, types in assignment.by_graph[gid].items()
-        if types[depth] == t
-    ]
-    return sorted(hits)
+    level = assignment.types[depth]
+    if t not in level:
+        return []
+    hits = np.flatnonzero(assignment.codes[depth] == level.index(t))
+    return sorted(assignment.node_at(v) for v in hits.tolist())
 
 
 def features_to_csv(fm: FeatureMatrix) -> tuple[str, dict]:

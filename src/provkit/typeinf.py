@@ -9,22 +9,37 @@ label sets.  A node with no length-``h`` walks has the distinguished EMPTY
 type at that depth.
 
 ``enumerate_label_walks`` materializes walk sets directly and serves as the
-reference implementation; ``infer_types`` computes the same types for every
-node and depth up to ``h`` with a dynamic program that runs in
-``O(h^2 * |E|)`` set unions per graph and never materializes walks.
+reference implementation.  ``infer_types`` computes the same types for every
+node and depth up to ``h`` with one dynamic program over the disjoint union of
+the whole family: walks never leave their graph, so the union's types are
+exactly the per-graph types.  Each depth ORs the successors' bitmask rows
+over the edges grouped by source with ``numpy.bitwise_or.reduceat``,
+``O(h^2 * |E|)`` array work in total, and walks are never materialized.  The
+result is columnar: one type code per node and depth, indexing the depth's
+distinct types.
 """
 
 from __future__ import annotations
 
+import json
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .model import GraphFamily, ProvGraph
+import numpy as np
+
+from .model import GENERIC_LABELS, GraphFamily, ProvGraph
 
 #: Fixed bit position per edge label, shared across all inferences.
 _EDGE_BIT = {lab: 1 << i for i, lab in enumerate(sorted({
     "der", "spe", "alt", "wib", "gen", "use", "wat", "waw", "abo", "wsb", "web", "wifb",
 }))}
+
+#: Node-label bits per int64 word of a ``tau_0`` mask (the sign bit stays clear).
+_WORD_BITS = 63
 
 
 @dataclass(frozen=True, eq=True)
@@ -139,33 +154,75 @@ def type_from_walks(walks: Iterable[LabelWalk], h: int) -> PType:
     return PType(tuple(layers))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeAssignment:
-    """Types for every node of a family at every depth ``0..h_max``.
+    """Types for every node of a family at every depth ``0..h_max``, as columns.
 
-    ``by_graph`` maps graph id to a mapping from node id to a tuple of
-    ``h_max + 1`` types (EMPTY where the node has no walks of that length).
+    Nodes are numbered over the disjoint union of the family: graph by graph
+    in ``graph_ids`` order, and within a graph in the sorted order of
+    ``node_ids[row]``.  ``graph_of[v]`` is the row of node ``v``'s graph.
+    ``types[d]`` holds the distinct non-EMPTY depth-``d`` types in canonical
+    ``PType.key`` order, and ``codes[d][v]`` indexes it, with -1 for EMPTY.
     """
 
     label_mode: str
     h_max: int
     graph_ids: tuple[str, ...]
-    by_graph: dict[str, dict[str, tuple[PType, ...]]]
+    node_ids: tuple[tuple[str, ...], ...]
+    graph_of: np.ndarray
+    types: tuple[tuple[PType, ...], ...]
+    codes: tuple[np.ndarray, ...]
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {gid: row for row, gid in enumerate(self.graph_ids)}
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """Index of each graph's first node in the union, plus the node count."""
+        return [0, *accumulate(len(ids) for ids in self.node_ids)]
 
     def get(self, graph_id: str, node: str, depth: int) -> PType:
         if not 0 <= depth <= self.h_max:
             raise ValueError(f"depth {depth} outside inferred range 0..{self.h_max}")
-        return self.by_graph[graph_id][node][depth]
+        row = self._rows[graph_id]
+        ids = self.node_ids[row]
+        i = bisect_left(ids, node)
+        if i == len(ids) or ids[i] != node:
+            raise KeyError(node)
+        code = int(self.codes[depth][self._starts[row] + i])
+        return self.types[depth][code] if code >= 0 else EMPTY
 
     def nodes(self, graph_id: str) -> list[str]:
-        return sorted(self.by_graph[graph_id])
+        return list(self.node_ids[self._rows[graph_id]])
+
+    def node_at(self, v: int) -> tuple[str, str]:
+        """The (graph id, node id) pair of union node ``v``."""
+        row = int(self.graph_of[v])
+        return self.graph_ids[row], self.node_ids[row][v - self._starts[row]]
+
+    @cached_property
+    def by_graph(self) -> dict[str, dict[str, tuple[PType, ...]]]:
+        """Graph id -> node id -> the ``h_max + 1`` types of that node.
+
+        Built on first access, for callers that want per-node tuples; the
+        pipeline itself reads the columns.
+        """
+        # Appending EMPTY to each level lets code -1 index it directly.
+        tables = [(*level, EMPTY) for level in self.types]
+        per_node = zip(*(
+            [table[c] for c in codes.tolist()] for table, codes in zip(tables, self.codes)
+        ))
+        return {
+            gid: dict(zip(ids, per_node))
+            for gid, ids in zip(self.graph_ids, self.node_ids)
+        }
 
     def iter_records(self) -> Iterator[dict]:
         """Dump records: one per (graph, node, depth), layers sorted."""
-        for gid in self.graph_ids:
-            per_node = self.by_graph[gid]
-            for nid in sorted(per_node):
-                for depth, t in enumerate(per_node[nid]):
+        for gid, per_node in self.by_graph.items():
+            for nid, types in per_node.items():
+                for depth, t in enumerate(types):
                     yield {
                         "graph": gid,
                         "node": nid,
@@ -174,93 +231,147 @@ class TypeAssignment:
                     }
 
 
+class _Ids(dict):
+    """Dense ids in order of first lookup."""
+
+    def __missing__(self, key):
+        self[key] = len(self)
+        return self[key]
+
+
+def _classify(rows: np.ndarray, decode) -> tuple[tuple[PType, ...], np.ndarray]:
+    """Distinct rows of ``rows`` as canonical types, plus each row's type code."""
+    if not len(rows):
+        return (), np.empty(0, dtype=np.intc)
+    order = np.lexsort(rows.T)
+    # A sorted row starts a new type where any column differs from the row
+    # before; compared column by column to keep the temporaries one wide.
+    first = np.zeros(len(rows), dtype=bool)
+    first[0] = True
+    for column in rows.T:
+        ranked = column[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    found = [decode(r) for r in rows[order[first]].tolist()]
+    canon = sorted(range(len(found)), key=lambda j: found[j].key())
+    code_of = np.empty(len(found), dtype=np.intc)
+    code_of[canon] = np.arange(len(found))
+    codes = np.empty(len(rows), dtype=np.intc)
+    codes[order] = code_of[np.cumsum(first) - 1]
+    return tuple(found[j] for j in canon), codes
+
+
 def infer_types(family: GraphFamily, h: int, label_mode: str = "application") -> TypeAssignment:
     """Infer the type of every node at every depth ``0..h``.
 
-    In ``"generic"`` mode application labels are stripped before inference,
-    so they cannot leak into ``tau_0`` layers.  Runs the layered dynamic
-    program independently per graph; results do not depend on node or edge
-    iteration order.
+    In ``"generic"`` mode only generic node labels enter ``tau_0``, so
+    application labels cannot leak into types; a node without a generic
+    label is a ``ValueError``.  The family is flattened into its disjoint
+    union once and the layered dynamic program runs over all graphs
+    together; results do not depend on node or edge iteration order.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
     if label_mode not in ("generic", "application"):
         raise ValueError(f"unknown label mode {label_mode!r}")
 
-    node_bit: dict[str, int] = {}
+    # Flatten: nodes numbered graph by graph in sorted id order; each node
+    # refers to its distinct label set, and edges carry one label bit.
+    sizes = array("q")
+    set_of, src, dst = array("i"), array("i"), array("i")
+    bits = array("h")
+    set_ids = _Ids()
+    node_ids = []
+    n = 0
+    for g in family:
+        ids = tuple(sorted(g.nodes))
+        node_ids.append(ids)
+        sizes.append(len(ids))
+        set_of.extend(map(set_ids.__getitem__, map(g.nodes.__getitem__, ids)))
+        if g.edges:
+            index = dict(zip(ids, range(n, n + len(ids))))
+            s, d, lab = zip(*g.edges)
+            src.extend(map(index.__getitem__, s))
+            dst.extend(map(index.__getitem__, d))
+            bits.extend(map(_EDGE_BIT.__getitem__, lab))
+        n += len(ids)
 
-    def node_mask(labels: frozenset[str]) -> int:
-        mask = 0
-        for lab in labels:
-            bit = node_bit.get(lab)
-            if bit is None:
-                bit = 1 << len(node_bit)
-                node_bit[lab] = bit
-            mask |= bit
-        return mask
-
-    # Types interned across the family.  Node-label bits are assigned once
-    # per family, so each distinct key decodes the same way in every graph.
-    edge_names = sorted(_EDGE_BIT)
-    ptype_cache: dict[tuple, PType] = {(): EMPTY}
-
-    def intern(edge_layers: tuple[int, ...], tau0: int) -> PType:
-        key = edge_layers + (-1, tau0)
-        hit = ptype_cache.get(key)
-        if hit is None:
-            layers = tuple(
-                frozenset(lab for lab in edge_names if _EDGE_BIT[lab] & m)
-                for m in edge_layers
+    label_sets = list(set_ids)
+    if label_mode == "generic":
+        label_sets = [labels & GENERIC_LABELS for labels in label_sets]
+        if not all(label_sets):
+            nid = next(nid for g in family for nid, labels in g.nodes.items()
+                       if not labels & GENERIC_LABELS)
+            raise ValueError(
+                f"node {nid!r} has no generic label; cannot strip to generic mode"
             )
-            tau0_labels = frozenset(lab for lab, bit in node_bit.items() if bit & tau0)
-            hit = PType(layers + (tau0_labels,))
-            ptype_cache[key] = hit
-        return hit
+    names = sorted(frozenset().union(*label_sets))
+    width = max(1, -(-len(names) // _WORD_BITS))
+    bit_of = {lab: (k // _WORD_BITS, 1 << (k % _WORD_BITS)) for k, lab in enumerate(names)}
+    set_words = np.zeros((len(label_sets), width), dtype=np.int64)
+    for row, labels in enumerate(label_sets):
+        words = [0] * width
+        for lab in labels:
+            word, bit = bit_of[lab]
+            words[word] |= bit
+        set_words[row] = words
 
-    by_graph: dict[str, dict[str, tuple[PType, ...]]] = {}
-    for graph in family:
-        g = graph.strip_application_labels() if label_mode == "generic" else graph
-        ids = sorted(g.nodes)
-        index = {nid: i for i, nid in enumerate(ids)}
-        n = len(ids)
-        masks = [node_mask(g.nodes[nid]) for nid in ids]
-        # Edges as (source index, target index, label bit).
-        edges = [(index[s], index[d], _EDGE_BIT[l]) for s, d, l in g.edges]
+    def decode(row: list[int]) -> PType:
+        i = len(row) - width
+        layers = [frozenset(lab for lab, b in _EDGE_BIT.items() if b & m) for m in row[:i]]
+        tau0 = frozenset(lab for lab, (word, bit) in bit_of.items() if row[i + word] & bit)
+        return PType((*layers, tau0))
 
-        per_node_types: list[list[PType]] = [[intern((), m)] for m in masks]
-        # State at the previous depth: per node, None for EMPTY or
-        # (edge label masks tau_{i-1}..tau_1, node label mask tau_0).
-        prev: list[tuple[list[int], int] | None] = [([], m) for m in masks]
-        for i in range(1, h + 1):
-            acc_edges: list[list[int]] = [[0] * i for _ in range(n)]
-            acc_tau0 = [0] * n
-            reached = [False] * n
-            for src, dst, bit in edges:
-                p = prev[dst]
-                if p is None:
-                    continue
-                reached[src] = True
-                row = acc_edges[src]
-                row[0] |= bit
-                p_edges, p_tau0 = p
-                for j in range(1, i):
-                    row[j] |= p_edges[j - 1]
-                acc_tau0[src] |= p_tau0
-            cur: list[tuple[list[int], int] | None] = [None] * n
-            for v in range(n):
-                if reached[v]:
-                    cur[v] = (acc_edges[v], acc_tau0[v])
-                    per_node_types[v].append(intern(tuple(acc_edges[v]), acc_tau0[v]))
-                else:
-                    per_node_types[v].append(EMPTY)
-            prev = cur
-        by_graph[g.graph_id] = {nid: tuple(per_node_types[index[nid]]) for nid in ids}
+    # Depth 0: a node's type is its label set's.
+    label_codes = np.frombuffer(set_of, dtype=np.intc)
+    level, local = _classify(set_words, decode)
+    types, codes = [level], [local[label_codes]]
+
+    # Depth-i state, one row per node in `live` (those with length-i walks;
+    # every node at depth 0): columns tau_i .. tau_1 (edge-label masks),
+    # then the tau_0 words.  `into[e]` is the state row of edge e's target.
+    state = set_words[label_codes]
+    # ProvGraph keeps its edges sorted and nodes are numbered in sorted id
+    # order, so the edges are already grouped by ascending source.
+    e_src, e_dst = (np.frombuffer(a, dtype=np.intc) for a in (src, dst))
+    e_bit = np.frombuffer(bits, dtype=np.short)
+    del src, dst, bits  # the views keep the buffers until filtering drops them
+    into = e_dst
+    pos = np.empty(n, dtype=np.intc)
+    for i in range(1, h + 1):
+        first_out = np.ones(len(e_src), dtype=bool)
+        np.not_equal(e_src[1:], e_src[:-1], out=first_out[1:])
+        heads = np.flatnonzero(first_out)
+        # Column by column, so the per-edge gather is one column wide.
+        grown = np.empty((len(heads), i + width), dtype=np.int64)
+        grown[:, 0] = np.bitwise_or.reduceat(e_bit, heads)
+        for j in range(i - 1 + width):
+            grown[:, j + 1] = np.bitwise_or.reduceat(state[into, j], heads)
+        state, live = grown, e_src[heads]
+        level, local = _classify(state, decode)
+        code = np.full(n, -1, dtype=np.intc)
+        code[live] = local
+        types.append(level)
+        codes.append(code)
+        if i < h:
+            # Only edges into a node with length-i walks extend them.
+            # One array at a time, so at most one old copy is alive.
+            pos.fill(-1)
+            pos[live] = np.arange(len(live))
+            into = pos[e_dst]
+            keep = into >= 0
+            into = into[keep]
+            e_src = e_src[keep]
+            e_dst = e_dst[keep]
+            e_bit = e_bit[keep]
 
     return TypeAssignment(
         label_mode=label_mode,
         h_max=h,
         graph_ids=tuple(g.graph_id for g in family),
-        by_graph=by_graph,
+        node_ids=tuple(node_ids),
+        graph_of=np.repeat(np.arange(len(sizes)), np.frombuffer(sizes, dtype=np.int64)),
+        types=tuple(types),
+        codes=tuple(codes),
     )
 
 
@@ -283,10 +394,26 @@ def is_extension(deep: PType, shallow: PType) -> bool:
 
 
 def dump_types(assignment: TypeAssignment) -> str:
-    """Serialize an assignment as JSON lines (one record per node and depth)."""
-    import json
+    """Serialize an assignment as JSON lines (one record per node and depth).
 
-    return "\n".join(
-        json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        for rec in assignment.iter_records()
-    ) + "\n"
+    Each line equals ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+    of the matching :meth:`TypeAssignment.iter_records` record; every distinct
+    type and id is encoded once.
+    """
+    compact = (",", ":")
+    tables = [
+        [json.dumps(t.to_jsonable(), separators=compact) for t in level] + ["null"]
+        for level in assignment.types
+    ]
+    heads = [f'{{"depth":{d},"graph":' for d in range(assignment.h_max + 1)]
+    codes = [c.tolist() for c in assignment.codes]
+    lines = []
+    v = 0
+    for gid, ids in zip(assignment.graph_ids, assignment.node_ids):
+        graph = json.dumps(gid)
+        for nid in ids:
+            mid = f'{graph},"node":{json.dumps(nid)},"type":'
+            for head, table, code in zip(heads, tables, codes):
+                lines.append(f"{head}{mid}{table[code[v]]}}}\n")
+            v += 1
+    return "".join(lines)

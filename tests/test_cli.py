@@ -312,3 +312,45 @@ class TestStaging:
         assert code == 3
         assert not out.exists()
         assert not list(tmp_path.glob("*.part"))
+
+    def test_unencodable_output_leaves_no_part_file(self, tmp_path):
+        # A lone surrogate parses from JSON but cannot be written as UTF-8.
+        record = {"id": "\ud800", "label": "x", "edges": [],
+                  "nodes": [{"id": "n0", "labels": ["ent"]}]}
+        data = tmp_path / "graphs.jsonl"
+        data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert run("featurize", "--data", data, "--h", 0, "--out", out) == 3
+        assert not out.exists()
+        assert not list(tmp_path.glob(".*.part"))
+
+    def test_large_artifact_written_whole(self, tmp_path, monkeypatch):
+        import provkit.cli as cli
+
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+        sink = cli._ArtifactSink()
+        text = "graph_id,é☃\U0001f600\n" * 5
+        sink.stage_text(tmp_path / "a.csv", text)
+        assert sink.commit() == [tmp_path / "a.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == text.encode("utf-8")
+
+
+def test_pipeline_never_builds_per_node_dicts(sim_dir, tmp_path, monkeypatch):
+    from provkit.typeinf import TypeAssignment
+
+    def refuse(self):
+        raise AssertionError("by_graph materialized")
+
+    monkeypatch.setattr(TypeAssignment, "by_graph", property(refuse))
+    assert run("types", "--data", sim_dir, "--method", "A5",
+               "--out", tmp_path / "t.jsonl") == 0
+    assert run("featurize", "--data", sim_dir, "--method", "A3",
+               "--out", tmp_path / "f.csv") == 0
+    assert run("gram", "--data", sim_dir, "--method", "A3", "--normalize",
+               "--out", tmp_path / "g.csv") == 0
+    assert run("explain", "--data", sim_dir, "--feature", "FA2_0",
+               "--out", tmp_path / "e.json") == 0
+    assert run("explain", "--data", sim_dir, "--feature", "FA2_0",
+               "--distance-to", "FG2_0", "--out", tmp_path / "d.json") == 0
+    blob = json.loads((tmp_path / "e.json").read_text(encoding="utf-8"))
+    assert blob["instances"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from provkit.fixtures import admission_fixture
-from provkit.model import GraphFamily
+from provkit.kernel import build_universe, featurize
+from provkit.model import GraphFamily, ProvGraph
 from provkit.typeinf import (
     EMPTY,
     LabelWalk,
@@ -219,3 +221,88 @@ def test_h_zero_no_empty_types():
     for nid in graph.nodes:
         x = assignment.get("g", nid, 0)
         assert x.depth == 0 and x.layers[0] == graph.nodes[nid]
+
+
+#: More application labels than one 63-bit tau_0 word holds.
+WIDE_LABELS = [f"app:L{i:02d}" for i in range(70)]
+
+
+def wide_family(rng: random.Random) -> GraphFamily:
+    """2-4 small graphs whose nodes together carry all 70 ``WIDE_LABELS``."""
+    graphs = [random_graph(rng, f"g{i}", max_nodes=7, max_edges=14, app_label_prob=0.0)
+              for i in range(rng.randint(2, 4))]
+    nodes = [dict(g.nodes) for g in graphs]
+    slots = [(i, nid) for i, ns in enumerate(nodes) for nid in ns]
+    for lab in WIDE_LABELS:
+        i, nid = rng.choice(slots)
+        nodes[i][nid] = nodes[i][nid] | {lab}
+    return GraphFamily(tuple(
+        type(g)(g.graph_id, ns, g.edges) for g, ns in zip(graphs, nodes)
+    ))
+
+
+@given(st.integers(0, 2**30), st.integers(0, 5), st.sampled_from(["generic", "application"]))
+@settings(max_examples=30, deadline=None)
+def test_family_inference_matches_walk_oracle(seed, h, mode):
+    family = wide_family(random.Random(seed))
+    assert len(family.node_label_universe) > 63
+    assignment = infer_types(family, h, mode)
+    fm = featurize(assignment, build_universe(assignment))
+    for graph in family:
+        expected = oracle_assignment(graph, h, mode)
+        counts = Counter()
+        for nid, types in expected.items():
+            for d, want in enumerate(types):
+                assert assignment.get(graph.graph_id, nid, d) == want, (nid, d)
+                if want is not EMPTY:
+                    counts[d, want] += 1
+        got = Counter()
+        row = fm.row_index(graph.graph_id)
+        for d, level in enumerate(fm.universe.per_depth):
+            for col, x in enumerate(level):
+                if fm.mats[d][row, col]:
+                    got[d, x] = int(fm.mats[d][row, col])
+        assert got == counts
+
+
+#: Id characters that JSON must escape or that are not ASCII.
+ID_CHARS = st.sampled_from(list('ab"\\/\n\t\x00\x7fé☃ \U0001f600'))
+
+
+@st.composite
+def awkward_families(draw):
+    gids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=4),
+                         min_size=1, max_size=3, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    graphs = []
+    for gid in gids:
+        base = random_graph(rng, gid, max_nodes=6, max_edges=12)
+        ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=4),
+                            min_size=len(base.nodes), max_size=len(base.nodes), unique=True))
+        rename = dict(zip(base.nodes, ids))
+        graphs.append(type(base)(
+            gid,
+            {rename[n]: labels for n, labels in base.nodes.items()},
+            tuple((rename[s], rename[d], lab) for s, d, lab in base.edges),
+        ))
+    return GraphFamily(tuple(graphs))
+
+
+@given(awkward_families(), st.integers(0, 3), st.sampled_from(["generic", "application"]))
+@settings(max_examples=40, deadline=None)
+def test_dump_bytes_equal_per_record_json(family, h, mode):
+    assignment = infer_types(family, h, mode)
+    want = "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+        for r in assignment.iter_records()
+    )
+    assert dump_types(assignment) == want
+    assert want.count("\n") == sum(g.n_nodes for g in family) * (h + 1)
+
+
+def test_generic_mode_rejects_node_without_generic_label():
+    graph = ProvGraph("g", {"a": frozenset({"ent"}), "b": frozenset({"app:A"})}, ())
+    with pytest.raises(ValueError, match="node 'b' has no generic label"):
+        infer_types(GraphFamily((graph,)), 1, "generic")
+    assignment = infer_types(GraphFamily((graph,)), 1, "application")
+    assert assignment.get("g", "b", 0) == t({"app:A"})
