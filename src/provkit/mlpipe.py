@@ -75,8 +75,8 @@ def balance_undersample(dataset: Dataset, seed: int = 0) -> Dataset:
     """
     rng = np.random.default_rng(seed)
     by_class: dict[str, list[str]] = {}
-    for g in dataset.family.graphs:
-        by_class.setdefault(dataset.class_labels[g.graph_id], []).append(g.graph_id)
+    for gid in dataset.family.graph_ids:
+        by_class.setdefault(dataset.class_labels[gid], []).append(gid)
     m = min(len(ids) for ids in by_class.values())
     keep: set[str] = set()
     for cls in sorted(by_class):

@@ -9,9 +9,14 @@ such as ``"mimic:Patient"`` contributed by ``prov:type`` attributes).
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from operator import itemgetter
+from typing import Iterable, Iterator
+
+import numpy as np
 
 #: Generic node labels: entity, activity, agent.
 GENERIC_LABELS = frozenset({"ent", "act", "ag"})
@@ -35,6 +40,14 @@ EDGE_KINDS: dict[str, tuple[str, str]] = {
 }
 
 EDGE_LABELS = frozenset(EDGE_KINDS)
+
+#: Edge labels in sorted order; a family's edge-label codes index this tuple.
+EDGE_LABEL_ORDER: tuple[str, ...] = tuple(sorted(EDGE_KINDS))
+_EDGE_CODE = {lab: code for code, lab in enumerate(EDGE_LABEL_ORDER)}
+
+
+class DataFormatError(ValueError):
+    """Malformed input data: bad JSON, missing fields, broken references."""
 
 
 def generic_part(labels: frozenset[str]) -> frozenset[str]:
@@ -63,20 +76,13 @@ class ProvGraph:
     edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
-        nodes = {str(k): frozenset(str(x) for x in v) for k, v in self.nodes.items()}
+        nodes = {str(k): frozenset(map(str, v)) for k, v in self.nodes.items()}
         edges = tuple(sorted((str(s), str(d), str(l)) for s, d, l in self.edges))
         for nid, labels in nodes.items():
-            if not labels:
-                raise ValueError(f"node {nid!r} has an empty label set")
-            if any(not lab for lab in labels):
-                raise ValueError(f"node {nid!r} carries an empty label")
-        for src, dst, lab in edges:
-            if lab not in EDGE_LABELS:
-                raise ValueError(f"unknown edge label {lab!r} on ({src!r}, {dst!r})")
-            if src not in nodes:
-                raise ValueError(f"edge references undeclared source node {src!r}")
-            if dst not in nodes:
-                raise ValueError(f"edge references undeclared destination node {dst!r}")
+            if not labels or "" in labels:
+                raise ValueError(_label_fault(nid, labels))
+        if fault := _edge_fault(edges, nodes):
+            raise ValueError(fault)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
 
@@ -105,47 +111,167 @@ class ProvGraph:
         return ProvGraph(self.graph_id, stripped, self.edges)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GraphFamily:
-    """An ordered collection of graphs sharing label universes."""
+    """An ordered collection of graphs sharing label universes, held as columns.
 
-    graphs: tuple[ProvGraph, ...]
+    Nodes are numbered over the disjoint union of the family: graph by graph
+    in ``graph_ids`` order and, within a graph, in sorted id order.  Graph
+    ``i`` owns nodes ``node_offsets[i]:node_offsets[i + 1]`` and edges
+    ``edge_offsets[i]:edge_offsets[i + 1]``.  ``node_sets[v]`` indexes
+    ``label_sets``, the distinct node label sets.  Edges carry int32 union
+    indices ``src``/``dst`` and an int8 code into :data:`EDGE_LABEL_ORDER`,
+    sorted by ``(src, dst, label)`` codes, which is ``ProvGraph``'s order.
+    ``graphs`` builds per-graph :class:`ProvGraph` views on first use.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "graphs", tuple(self.graphs))
+    graph_ids: tuple[str, ...]
+    node_offsets: np.ndarray
+    node_ids: tuple[str, ...]
+    node_sets: np.ndarray
+    label_sets: tuple[frozenset[str], ...]
+    edge_offsets: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    edge_labels: np.ndarray
+
+    def __init__(self, graphs: Iterable[ProvGraph]) -> None:
+        self._flatten((g.graph_id, g.nodes.items(), g.edges) for g in graphs)
+
+    @classmethod
+    def from_records(cls, records: Iterable[tuple[str, Iterable, Iterable]]) -> "GraphFamily":
+        """A family from ``(graph id, (node id, labels) pairs, edge triples)``
+        records with string ids, validated as :class:`ProvGraph` validates a
+        graph.  Raises :class:`DataFormatError` naming the graph."""
+        family = cls.__new__(cls)
+        family._flatten(records)
+        return family
+
+    def _flatten(self, records) -> None:
+        graph_ids: list[str] = []
+        node_ids: list[str] = []
+        label_sets: list[frozenset[str]] = []
+        node_offsets, edge_offsets = array("q", [0]), array("q", [0])
+        # Per-graph column parts, each seeded so that concatenation never sees none.
+        parts = [[np.empty(0, t)] for t in (np.intc, np.int32, np.int32, np.int8)]
+        node_sets, src, dst, codes = parts
+        canon: dict[frozenset[str], int] = {}
+        fast: dict[tuple, int] = {}  # a label listing -> its set's id
         seen: set[str] = set()
-        for g in self.graphs:
-            if g.graph_id in seen:
-                raise ValueError(f"duplicate graph id {g.graph_id!r} in family")
-            seen.add(g.graph_id)
+        for gid, node_items, edges in records:
+            fault = f"graph {gid!r}: "
+            if gid in seen:
+                raise DataFormatError(f"{fault}duplicate graph id")
+            seen.add(gid)
+            items = sorted(node_items, key=itemgetter(0))
+            base = len(node_ids)
+            node_ids.extend(map(itemgetter(0), items))
+            index = dict(zip(node_ids[base:], range(base, len(node_ids))))
+            if len(index) < len(items):
+                dup = next(a for a, b in zip(node_ids[base:], node_ids[base + 1 :]) if a == b)
+                raise DataFormatError(f"{fault}duplicate node id {dup!r}")
+            keys = list(map(tuple, map(itemgetter(1), items)))
+            try:
+                fresh = [key for key in dict.fromkeys(keys) if key not in fast]
+            except TypeError:  # an unhashable label
+                raise DataFormatError(f"{fault}node labels must be strings") from None
+            for key in fresh:
+                # Each distinct set is validated once, and listings in any
+                # order share its id.
+                labels = frozenset(key)
+                if labels not in canon:
+                    if bad := _label_fault(items[keys.index(key)][0], labels):
+                        raise DataFormatError(fault + bad)
+                    canon[labels] = len(label_sets)
+                    label_sets.append(labels)
+                fast[key] = canon[labels]
+            node_sets.append(np.fromiter(map(fast.__getitem__, keys), np.intc, len(keys)))
+            try:
+                if not set(map(len, edges)) <= {3}:
+                    raise ValueError
+                for column, table, part in ((2, _EDGE_CODE, codes), (0, index, src), (1, index, dst)):
+                    got = map(table.__getitem__, map(itemgetter(column), edges))
+                    part.append(np.fromiter(got, part[0].dtype, len(edges)))
+            except (KeyError, TypeError, ValueError):
+                raise DataFormatError(f"{fault}{_edge_fault(edges, index)}") from None
+            graph_ids.append(gid)
+            node_offsets.append(len(node_ids))
+            edge_offsets.append(edge_offsets[-1] + len(edges))
+        node_sets, src, dst, codes = map(np.concatenate, parts)
+        # Exact while (nodes ** 2) * 16 < 2**63, far more nodes than fit in memory.
+        order = np.argsort((src.astype(np.int64) * len(node_ids) + dst) * 16 + codes, kind="stable")
+        columns = (
+            tuple(graph_ids), np.frombuffer(node_offsets, np.int64), tuple(node_ids),
+            node_sets, tuple(label_sets),
+            np.frombuffer(edge_offsets, np.int64), src[order], dst[order], codes[order],
+        )
+        for f, column in zip(fields(self), columns):
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GraphFamily):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.graph_ids)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[ProvGraph]:
         return iter(self.graphs)
 
-    def graph(self, graph_id: str) -> ProvGraph:
-        for g in self.graphs:
-            if g.graph_id == graph_id:
-                return g
-        raise KeyError(graph_id)
+    @cached_property
+    def graphs(self) -> tuple[ProvGraph, ...]:
+        """One :class:`ProvGraph` per graph, built from the columns on first use."""
+        ids, n, e = self.node_ids, self.node_offsets.tolist(), self.edge_offsets.tolist()
+        sets = list(map(self.label_sets.__getitem__, self.node_sets.tolist()))
+        edges = list(zip(
+            map(ids.__getitem__, self.src.tolist()),
+            map(ids.__getitem__, self.dst.tolist()),
+            map(EDGE_LABEL_ORDER.__getitem__, self.edge_labels.tolist()),
+        ))
+        return tuple(
+            ProvGraph(gid, dict(zip(ids[n[i] : n[i + 1]], sets[n[i] : n[i + 1]])),
+                      tuple(edges[e[i] : e[i + 1]]))
+            for i, gid in enumerate(self.graph_ids)
+        )
 
     @property
     def node_label_universe(self) -> frozenset[str]:
-        out: set[str] = set()
-        for g in self.graphs:
-            for labels in g.nodes.values():
-                out |= labels
-        return frozenset(out)
-
-    @property
-    def edge_label_universe(self) -> frozenset[str]:
-        return frozenset(lab for g in self.graphs for _, _, lab in g.edges)
+        return frozenset().union(*self.label_sets)
 
     @property
     def application_label_universe(self) -> frozenset[str]:
         return self.node_label_universe - GENERIC_LABELS
+
+
+def _label_fault(nid: str, labels: frozenset) -> str | None:
+    """What is wrong with node ``nid``'s label set, if anything."""
+    if not labels:
+        return f"node {nid!r} has an empty label set"
+    if not all(isinstance(lab, str) for lab in labels):
+        return "node labels must be strings"
+    if "" in labels:
+        return f"node {nid!r} carries an empty label"
+    return None
+
+
+def _edge_fault(edges, nodes) -> str | None:
+    """What is wrong with the first bad edge among ``edges``, if any."""
+    for edge in edges:
+        try:
+            s, d, lab = edge
+            if lab not in _EDGE_CODE:
+                return f"unknown edge label {lab!r} on ({s!r}, {d!r})"
+            if s not in nodes:
+                return f"edge references undeclared source node {s!r}"
+            if d not in nodes:
+                return f"edge references undeclared destination node {d!r}"
+        except (TypeError, ValueError):
+            return f"malformed edge {edge!r}"
+    return None
 
 
 @dataclass(frozen=True, eq=True)
@@ -157,7 +283,7 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ids = {g.graph_id for g in self.family}
+        ids = set(self.family.graph_ids)
         missing = ids - set(self.class_labels)
         extra = set(self.class_labels) - ids
         if missing:
@@ -169,7 +295,7 @@ class Dataset:
         return len(self.family)
 
     def labels_in_family_order(self) -> list[str]:
-        return [self.class_labels[g.graph_id] for g in self.family]
+        return [self.class_labels[gid] for gid in self.family.graph_ids]
 
 
 def validate_labels(graph: ProvGraph) -> list[str]:

@@ -2,6 +2,9 @@
 
 Maps the three node sections (``entity``, ``activity``, ``agent``) and the
 twelve supported binary relations onto a :class:`~provkit.model.ProvGraph`.
+An identifier may hold one record or, as the W3C PROV-JSON submission
+allows, an array of records: a node takes the union of their labels and a
+relation yields one edge per record.
 Unsupported constructs (bundles, unknown relation sections) are skipped with
 a warning; extra attributes on supported relations (roles, times) are
 likewise ignored.
@@ -14,15 +17,11 @@ import warnings
 from pathlib import Path
 from typing import Any
 
-from .model import GENERIC_LABELS, ProvGraph
+from .model import EDGE_KINDS, DataFormatError, ProvGraph
 
 
 class ProvJsonWarning(UserWarning):
     """Raised (as a warning) for skipped PROV-JSON constructs."""
-
-
-class DataFormatError(ValueError):
-    """Malformed input data: bad JSON, missing fields, broken references."""
 
 
 #: Node section name -> generic label.
@@ -48,19 +47,19 @@ _RELATIONS: dict[str, tuple[str, str, str]] = {
 _IGNORABLE = {"prefix"}
 
 
-def _type_strings(value: Any) -> list[str]:
-    """Extract application label strings from a ``prov:type`` value."""
+def _type_strings(value: Any, nid: str) -> list[str]:
+    """Extract application label strings from node ``nid``'s ``prov:type``."""
     if isinstance(value, list):
         out: list[str] = []
         for item in value:
-            out.extend(_type_strings(item))
+            out.extend(_type_strings(item, nid))
         return out
     if isinstance(value, dict):
         inner = value.get("$")
-        return _type_strings(inner) if inner is not None else []
+        return _type_strings(inner, nid) if inner is not None else []
     if isinstance(value, str):
         return [value] if value else []
-    return [str(value)]
+    raise DataFormatError(f"node {nid!r}: prov:type value {value!r} is not a string")
 
 
 def load_provjson(
@@ -100,13 +99,14 @@ def load_provjson(
         members = doc.get(section, {})
         if not isinstance(members, dict):
             raise DataFormatError(f"section {section!r} must be an object")
-        for nid, attrs in members.items():
-            labels = nodes.setdefault(str(nid), set())
+        for nid, entry in members.items():
+            labels = nodes.setdefault(nid, set())
             labels.add(kind)
-            if label_mode == "application" and isinstance(attrs, dict):
-                for key, value in attrs.items():
-                    if key == "prov:type":
-                        labels.update(_type_strings(value))
+            for attrs in entry if isinstance(entry, list) else [entry]:
+                if isinstance(attrs, dict) and "prov:type" in attrs:
+                    app = _type_strings(attrs["prov:type"], nid)
+                    if label_mode == "application":
+                        labels.update(app)
 
     edges: list[tuple[str, str, str]] = []
     for section, members in doc.items():
@@ -118,26 +118,28 @@ def load_provjson(
         label, src_field, dst_field = _RELATIONS[section]
         if not isinstance(members, dict):
             raise DataFormatError(f"relation section {section!r} must be an object")
-        for rid, rec in members.items():
-            if not isinstance(rec, dict):
-                raise DataFormatError(f"relation {rid!r} in {section!r} must be an object")
-            src = rec.get(src_field)
-            dst = rec.get(dst_field)
-            if src is None or dst is None:
-                raise DataFormatError(
-                    f"relation {rid!r} in {section!r} lacks {src_field!r}/{dst_field!r}"
-                )
-            for endpoint, column in ((str(src), 0), (str(dst), 1)):
-                if endpoint not in nodes:
-                    kind = _expected_kind(section, column)
-                    nodes[endpoint] = {kind}
-                    warnings.warn(
-                        f"{graph_id}: auto-declared {endpoint!r} as {kind!r} "
-                        f"(referenced by {section})",
-                        ProvJsonWarning,
-                        stacklevel=2,
+        for rid, entry in members.items():
+            for rec in entry if isinstance(entry, list) else [entry]:
+                if not isinstance(rec, dict):
+                    raise DataFormatError(f"relation {rid!r} in {section!r} must be an object")
+                src = rec.get(src_field)
+                dst = rec.get(dst_field)
+                if not isinstance(src, str) or not isinstance(dst, str):
+                    raise DataFormatError(
+                        f"relation {rid!r} in {section!r} needs string ids "
+                        f"{src_field!r}/{dst_field!r}"
                     )
-            edges.append((str(src), str(dst), label))
+                for endpoint, column in ((src, 0), (dst, 1)):
+                    if endpoint not in nodes:
+                        kind = EDGE_KINDS[label][column]
+                        nodes[endpoint] = {kind}
+                        warnings.warn(
+                            f"{graph_id}: auto-declared {endpoint!r} as {kind!r} "
+                            f"(referenced by {section})",
+                            ProvJsonWarning,
+                            stacklevel=2,
+                        )
+                edges.append((src, dst, label))
 
     if skipped:
         warnings.warn(
@@ -152,10 +154,3 @@ def load_provjson(
         return ProvGraph(graph_id, {k: frozenset(v) for k, v in nodes.items()}, tuple(edges))
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
-
-
-def _expected_kind(section: str, column: int) -> str:
-    from .model import EDGE_KINDS
-
-    label = _RELATIONS[section][0]
-    return EDGE_KINDS[label][column]

@@ -13,71 +13,77 @@ list, the class labels and the generation parameters.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
-from .model import Dataset, GraphFamily, ProvGraph
-from .provjson import DataFormatError
+from .model import EDGE_LABEL_ORDER, DataFormatError, Dataset, GraphFamily
 
 MANIFEST_NAME = "manifest.json"
 GRAPHS_NAME = "graphs.jsonl"
 FORMAT_TAG = "provkit-dataset/1"
 
 
-def graph_to_record(graph: ProvGraph, label: str) -> dict:
-    return {
-        "id": graph.graph_id,
-        "label": label,
-        "nodes": [
-            {"id": nid, "labels": sorted(labels)}
-            for nid, labels in sorted(graph.nodes.items())
-        ],
-        "edges": [list(e) for e in graph.edges],
-    }
-
-
-def record_to_graph(record: dict) -> tuple[ProvGraph, str]:
+def _record_fields(record: dict) -> tuple[str, str, list, list]:
+    """Graph id, class label, ``(node id, labels)`` pairs and edges of one
+    record, each field type-checked; the family build checks the rest."""
     try:
         gid = record["id"]
         label = record["label"]
         node_records = record["nodes"]
-        edge_records = record["edges"]
+        edges = record["edges"]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed graph record: {exc}") from exc
     if not isinstance(gid, str):
         raise DataFormatError(f"graph {gid!r}: graph id must be a string")
     if not isinstance(label, str):
         raise DataFormatError(f"graph {gid!r}: class label must be a string")
-    nodes: dict = {}
+    if not isinstance(edges, list):
+        raise DataFormatError(f"graph {gid!r}: edges must be a list")
     try:
-        for n in node_records:
-            nid, labels = n["id"], n["labels"]
-            if not isinstance(nid, str) or not isinstance(labels, list):
-                raise DataFormatError(
-                    f"graph {gid!r}: node {nid!r} needs a string id and a list of labels"
-                )
-            if nid in nodes:
-                raise DataFormatError(f"graph {gid!r}: duplicate node id {nid!r}")
-            nodes[nid] = frozenset(labels)
+        items = list(map(itemgetter("id", "labels"), node_records))
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"graph {gid!r}: malformed node record: {exc}") from exc
-    if not all(isinstance(lab, str) for lab in frozenset().union(*nodes.values())):
-        raise DataFormatError(f"graph {gid!r}: node labels must be strings")
-    try:
-        edges = tuple((s, d, l) for s, d, l in edge_records)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"graph {gid!r}: malformed edge: {exc}") from exc
-    try:
-        return ProvGraph(gid, nodes, edges), label
-    except ValueError as exc:
-        raise DataFormatError(f"graph {gid!r}: {exc}") from exc
+    # JSON decodes to exact types, so comparing types checks every node at once.
+    if not (set(map(type, map(itemgetter(0), items))) <= {str}
+            and set(map(type, map(itemgetter(1), items))) <= {list}):
+        nid = next(nid for nid, labels in items if type(nid) is not str or type(labels) is not list)
+        raise DataFormatError(
+            f"graph {gid!r}: node {nid!r} needs a string id and a list of labels"
+        )
+    return gid, label, items, edges
 
 
 def dataset_texts(dataset: Dataset) -> dict[str, str]:
-    """The files of a saved dataset, by name: graph records and manifest."""
+    """The files of a saved dataset, by name: graph records and manifest.
+
+    Each record line is ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))``, written from the family's columns: node ids
+    and label sets are encoded once each, label sets sorted.
+    """
+    fam = dataset.family
+    sets = [json.dumps(sorted(s), separators=(",", ":")) for s in fam.label_sets]
+    labs = [_quote(lab) for lab in EDGE_LABEL_ORDER]
+    nodes_at, edges_at = fam.node_offsets.tolist(), fam.edge_offsets.tolist()
     lines = []
-    for g in dataset.family:
-        rec = graph_to_record(g, dataset.class_labels[g.graph_id])
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    for gid, a, b, e, f in zip(fam.graph_ids, nodes_at, nodes_at[1:], edges_at, edges_at[1:]):
+        ids = list(map(_quote, fam.node_ids[a:b]))
+        nodes = map(
+            '{{"id":{},"labels":{}}}'.format,
+            ids,
+            map(sets.__getitem__, fam.node_sets[a:b].tolist()),
+        )
+        edges = map(
+            "[{},{},{}]".format,
+            map(ids.__getitem__, (fam.src[e:f] - a).tolist()),
+            map(ids.__getitem__, (fam.dst[e:f] - a).tolist()),
+            map(labs.__getitem__, fam.edge_labels[e:f].tolist()),
+        )
+        lines.append(
+            f'{{"edges":[{",".join(edges)}],"id":{_quote(gid)},'
+            f'"label":{_quote(dataset.class_labels[gid])},"nodes":[{",".join(nodes)}]}}'
+        )
     manifest = {
         "format": FORMAT_TAG,
         "files": [GRAPHS_NAME],
@@ -106,32 +112,30 @@ def load_internal(path: str | Path) -> Dataset:
         p = p / MANIFEST_NAME
     if not p.exists():
         raise DataFormatError(f"no such dataset: {path}")
-    if p.name.endswith(".jsonl"):
-        graphs, labels = _read_graph_file(p)
-        return Dataset(GraphFamily(tuple(graphs)), labels, {})
-    try:
-        manifest = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
-    if manifest.get("format") != FORMAT_TAG:
-        raise DataFormatError(f"{p}: unrecognized manifest format {manifest.get('format')!r}")
-    graphs: list[ProvGraph] = []
+    manifest: dict = {"files": [p.name]}
+    if not p.name.endswith(".jsonl"):
+        try:
+            manifest = json.loads(p.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
+        if manifest.get("format") != FORMAT_TAG:
+            raise DataFormatError(f"{p}: unrecognized manifest format {manifest.get('format')!r}")
     labels: dict[str, str] = {}
-    for name in manifest.get("files", []):
-        file_graphs, file_labels = _read_graph_file(p.parent / name)
-        graphs.extend(file_graphs)
-        labels.update(file_labels)
+    family = GraphFamily.from_records(
+        record
+        for name in manifest.get("files", [])
+        for record in _read_graph_file(p.parent / name, labels)
+    )
     declared = manifest.get("class_labels", {})
     if declared and declared != labels:
         raise DataFormatError(f"{p}: manifest class labels disagree with graph records")
-    return Dataset(GraphFamily(tuple(graphs)), labels, manifest.get("meta", {}))
+    return Dataset(family, labels, manifest.get("meta", {}))
 
 
-def _read_graph_file(path: Path) -> tuple[list[ProvGraph], dict[str, str]]:
+def _read_graph_file(path: Path, labels: dict[str, str]) -> Iterator[tuple[str, list, list]]:
+    """Yield a JSONL file's graph records and note each one's class label."""
     if not path.exists():
         raise DataFormatError(f"missing graph file: {path}")
-    graphs = []
-    labels = {}
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -141,9 +145,5 @@ def _read_graph_file(path: Path) -> tuple[list[ProvGraph], dict[str, str]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            graph, label = record_to_graph(record)
-            if graph.graph_id in labels:
-                raise DataFormatError(f"{path}:{lineno}: duplicate graph id {graph.graph_id!r}")
-            graphs.append(graph)
-            labels[graph.graph_id] = label
-    return graphs, labels
+            gid, labels[gid], nodes, edges = _record_fields(record)
+            yield gid, nodes, edges

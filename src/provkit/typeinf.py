@@ -12,31 +12,29 @@ type at that depth.
 reference implementation.  ``infer_types`` computes the same types for every
 node and depth up to ``h`` with one dynamic program over the disjoint union of
 the whole family: walks never leave their graph, so the union's types are
-exactly the per-graph types.  Each depth ORs the successors' bitmask rows
-over the edges grouped by source with ``numpy.bitwise_or.reduceat``,
-``O(h^2 * |E|)`` array work in total, and walks are never materialized.  The
-result is columnar: one type code per node and depth, indexing the depth's
-distinct types.
+exactly the per-graph types.  It reads the family's columns directly: the
+label-set id per node and the source-sorted edge arrays.  Each depth ORs the
+successors' bitmask rows over the edges grouped by source with
+``numpy.bitwise_or.reduceat``, ``O(h^2 * |E|)`` array work in total, and
+walks are never materialized.  The result is columnar too: one type code per
+union node and depth, indexing the depth's distinct types.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import GENERIC_LABELS, GraphFamily, ProvGraph
+from .model import EDGE_LABEL_ORDER, GENERIC_LABELS, GraphFamily, ProvGraph
 
-#: Fixed bit position per edge label, shared across all inferences.
-_EDGE_BIT = {lab: 1 << i for i, lab in enumerate(sorted({
-    "der", "spe", "alt", "wib", "gen", "use", "wat", "waw", "abo", "wsb", "web", "wifb",
-}))}
+#: Bit per edge label: its family edge-label code's position.
+_EDGE_BIT = {lab: 1 << i for i, lab in enumerate(EDGE_LABEL_ORDER)}
 
 #: Node-label bits per int64 word of a ``tau_0`` mask (the sign bit stays clear).
 _WORD_BITS = 63
@@ -158,48 +156,50 @@ def type_from_walks(walks: Iterable[LabelWalk], h: int) -> PType:
 class TypeAssignment:
     """Types for every node of a family at every depth ``0..h_max``, as columns.
 
-    Nodes are numbered over the disjoint union of the family: graph by graph
-    in ``graph_ids`` order, and within a graph in the sorted order of
-    ``node_ids[row]``.  ``graph_of[v]`` is the row of node ``v``'s graph.
-    ``types[d]`` holds the distinct non-EMPTY depth-``d`` types in canonical
-    ``PType.key`` order, and ``codes[d][v]`` indexes it, with -1 for EMPTY.
+    Nodes are the family's union nodes (see :class:`GraphFamily`), and
+    ``graph_of[v]`` is the row of node ``v``'s graph.  ``types[d]`` holds the
+    distinct non-EMPTY depth-``d`` types in canonical ``PType.key`` order, and
+    ``codes[d][v]`` indexes it, with -1 for EMPTY.
     """
 
     label_mode: str
     h_max: int
-    graph_ids: tuple[str, ...]
-    node_ids: tuple[tuple[str, ...], ...]
-    graph_of: np.ndarray
+    family: GraphFamily
     types: tuple[tuple[PType, ...], ...]
     codes: tuple[np.ndarray, ...]
 
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {gid: row for row, gid in enumerate(self.graph_ids)}
+    @property
+    def graph_ids(self) -> tuple[str, ...]:
+        return self.family.graph_ids
 
     @cached_property
-    def _starts(self) -> list[int]:
-        """Index of each graph's first node in the union, plus the node count."""
-        return [0, *accumulate(len(ids) for ids in self.node_ids)]
+    def graph_of(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.graph_ids)), np.diff(self.family.node_offsets))
+
+    @cached_property
+    def _spans(self) -> dict[str, tuple[int, int]]:
+        """Graph id -> the union index range of its nodes."""
+        at = self.family.node_offsets.tolist()
+        return {gid: (at[row], at[row + 1]) for row, gid in enumerate(self.graph_ids)}
 
     def get(self, graph_id: str, node: str, depth: int) -> PType:
         if not 0 <= depth <= self.h_max:
             raise ValueError(f"depth {depth} outside inferred range 0..{self.h_max}")
-        row = self._rows[graph_id]
-        ids = self.node_ids[row]
-        i = bisect_left(ids, node)
-        if i == len(ids) or ids[i] != node:
+        lo, hi = self._spans[graph_id]
+        ids = self.family.node_ids
+        v = bisect_left(ids, node, lo, hi)
+        if v == hi or ids[v] != node:
             raise KeyError(node)
-        code = int(self.codes[depth][self._starts[row] + i])
+        code = int(self.codes[depth][v])
         return self.types[depth][code] if code >= 0 else EMPTY
 
     def nodes(self, graph_id: str) -> list[str]:
-        return list(self.node_ids[self._rows[graph_id]])
+        lo, hi = self._spans[graph_id]
+        return list(self.family.node_ids[lo:hi])
 
     def node_at(self, v: int) -> tuple[str, str]:
         """The (graph id, node id) pair of union node ``v``."""
-        row = int(self.graph_of[v])
-        return self.graph_ids[row], self.node_ids[row][v - self._starts[row]]
+        return self.graph_ids[int(self.graph_of[v])], self.family.node_ids[v]
 
     @cached_property
     def by_graph(self) -> dict[str, dict[str, tuple[PType, ...]]]:
@@ -214,8 +214,8 @@ class TypeAssignment:
             [table[c] for c in codes.tolist()] for table, codes in zip(tables, self.codes)
         ))
         return {
-            gid: dict(zip(ids, per_node))
-            for gid, ids in zip(self.graph_ids, self.node_ids)
+            gid: dict(zip(self.family.node_ids[lo:hi], islice(per_node, hi - lo)))
+            for gid, (lo, hi) in self._spans.items()
         }
 
     def iter_records(self) -> Iterator[dict]:
@@ -229,14 +229,6 @@ class TypeAssignment:
                         "depth": depth,
                         "type": t.to_jsonable(),
                     }
-
-
-class _Ids(dict):
-    """Dense ids in order of first lookup."""
-
-    def __missing__(self, key):
-        self[key] = len(self)
-        return self[key]
 
 
 def _classify(rows: np.ndarray, decode) -> tuple[tuple[PType, ...], np.ndarray]:
@@ -265,42 +257,21 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
 
     In ``"generic"`` mode only generic node labels enter ``tau_0``, so
     application labels cannot leak into types; a node without a generic
-    label is a ``ValueError``.  The family is flattened into its disjoint
-    union once and the layered dynamic program runs over all graphs
-    together; results do not depend on node or edge iteration order.
+    label is a ``ValueError`` naming the first such node in family order.
+    The layered dynamic program runs over the family's columns, all graphs
+    together; results do not depend on node or edge insertion order.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
     if label_mode not in ("generic", "application"):
         raise ValueError(f"unknown label mode {label_mode!r}")
 
-    # Flatten: nodes numbered graph by graph in sorted id order; each node
-    # refers to its distinct label set, and edges carry one label bit.
-    sizes = array("q")
-    set_of, src, dst = array("i"), array("i"), array("i")
-    bits = array("h")
-    set_ids = _Ids()
-    node_ids = []
-    n = 0
-    for g in family:
-        ids = tuple(sorted(g.nodes))
-        node_ids.append(ids)
-        sizes.append(len(ids))
-        set_of.extend(map(set_ids.__getitem__, map(g.nodes.__getitem__, ids)))
-        if g.edges:
-            index = dict(zip(ids, range(n, n + len(ids))))
-            s, d, lab = zip(*g.edges)
-            src.extend(map(index.__getitem__, s))
-            dst.extend(map(index.__getitem__, d))
-            bits.extend(map(_EDGE_BIT.__getitem__, lab))
-        n += len(ids)
-
-    label_sets = list(set_ids)
+    label_sets = family.label_sets
     if label_mode == "generic":
         label_sets = [labels & GENERIC_LABELS for labels in label_sets]
         if not all(label_sets):
-            nid = next(nid for g in family for nid, labels in g.nodes.items()
-                       if not labels & GENERIC_LABELS)
+            bare = np.array([not labels for labels in label_sets])[family.node_sets]
+            nid = family.node_ids[int(np.argmax(bare))]
             raise ValueError(
                 f"node {nid!r} has no generic label; cannot strip to generic mode"
             )
@@ -322,7 +293,7 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
         return PType((*layers, tau0))
 
     # Depth 0: a node's type is its label set's.
-    label_codes = np.frombuffer(set_of, dtype=np.intc)
+    label_codes = family.node_sets
     level, local = _classify(set_words, decode)
     types, codes = [level], [local[label_codes]]
 
@@ -330,13 +301,11 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
     # every node at depth 0): columns tau_i .. tau_1 (edge-label masks),
     # then the tau_0 words.  `into[e]` is the state row of edge e's target.
     state = set_words[label_codes]
-    # ProvGraph keeps its edges sorted and nodes are numbered in sorted id
-    # order, so the edges are already grouped by ascending source.
-    e_src, e_dst = (np.frombuffer(a, dtype=np.intc) for a in (src, dst))
-    e_bit = np.frombuffer(bits, dtype=np.short)
-    del src, dst, bits  # the views keep the buffers until filtering drops them
+    # The family keeps its edges sorted by source.
+    e_src, e_dst = family.src, family.dst
+    e_bit = np.left_shift(1, family.edge_labels, dtype=np.short)
     into = e_dst
-    pos = np.empty(n, dtype=np.intc)
+    pos = np.empty(len(label_codes), dtype=np.intc)
     for i in range(1, h + 1):
         first_out = np.ones(len(e_src), dtype=bool)
         np.not_equal(e_src[1:], e_src[:-1], out=first_out[1:])
@@ -348,7 +317,7 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
             grown[:, j + 1] = np.bitwise_or.reduceat(state[into, j], heads)
         state, live = grown, e_src[heads]
         level, local = _classify(state, decode)
-        code = np.full(n, -1, dtype=np.intc)
+        code = np.full(len(label_codes), -1, dtype=np.intc)
         code[live] = local
         types.append(level)
         codes.append(code)
@@ -364,15 +333,7 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
             e_dst = e_dst[keep]
             e_bit = e_bit[keep]
 
-    return TypeAssignment(
-        label_mode=label_mode,
-        h_max=h,
-        graph_ids=tuple(g.graph_id for g in family),
-        node_ids=tuple(node_ids),
-        graph_of=np.repeat(np.arange(len(sizes)), np.frombuffer(sizes, dtype=np.int64)),
-        types=tuple(types),
-        codes=tuple(codes),
-    )
+    return TypeAssignment(label_mode, h, family, tuple(types), tuple(codes))
 
 
 def is_extension(deep: PType, shallow: PType) -> bool:
@@ -407,13 +368,12 @@ def dump_types(assignment: TypeAssignment) -> str:
     ]
     heads = [f'{{"depth":{d},"graph":' for d in range(assignment.h_max + 1)]
     codes = [c.tolist() for c in assignment.codes]
+    node_ids = assignment.family.node_ids
     lines = []
-    v = 0
-    for gid, ids in zip(assignment.graph_ids, assignment.node_ids):
+    for gid, (lo, hi) in assignment._spans.items():
         graph = json.dumps(gid)
-        for nid in ids:
-            mid = f'{graph},"node":{json.dumps(nid)},"type":'
+        for v in range(lo, hi):
+            mid = f'{graph},"node":{json.dumps(node_ids[v])},"type":'
             for head, table, code in zip(heads, tables, codes):
                 lines.append(f"{head}{mid}{table[code[v]]}}}\n")
-            v += 1
     return "".join(lines)

@@ -341,13 +341,20 @@ def test_pipeline_never_builds_per_node_dicts(sim_dir, tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("by_graph materialized")
 
+    def refuse_views(self):
+        raise AssertionError("ProvGraph views of the family built")
+
     monkeypatch.setattr(TypeAssignment, "by_graph", property(refuse))
+    monkeypatch.setattr(GraphFamily, "graphs", property(refuse_views))
     assert run("types", "--data", sim_dir, "--method", "A5",
                "--out", tmp_path / "t.jsonl") == 0
     assert run("featurize", "--data", sim_dir, "--method", "A3",
                "--out", tmp_path / "f.csv") == 0
     assert run("gram", "--data", sim_dir, "--method", "A3", "--normalize",
                "--out", tmp_path / "g.csv") == 0
+    two_class = two_class_dataset(tmp_path / "two")
+    assert run("xval", "--data", two_class, "--method", "A0", "--k", 2, "--repeats", 1,
+               "--out", tmp_path / "x.json") == 0
     assert run("explain", "--data", sim_dir, "--feature", "FA2_0",
                "--out", tmp_path / "e.json") == 0
     assert run("explain", "--data", sim_dir, "--feature", "FA2_0",

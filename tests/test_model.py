@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
+from provkit.cli import main
 from provkit.fixtures import admission_fixture
 from provkit.model import (
+    EDGE_LABELS,
     Dataset,
     GraphFamily,
     ProvGraph,
@@ -16,7 +22,7 @@ from provkit.model import (
     validate_labels,
 )
 from provkit.provjson import DataFormatError, ProvJsonWarning, load_provjson
-from provkit.storage import load_internal, save_internal
+from provkit.storage import dataset_texts, load_internal, save_internal
 
 
 def g(nodes, edges, gid="g"):
@@ -199,6 +205,58 @@ class TestProvJson:
         assert graph.n_edges == 12
         assert validate_labels(graph) == []
 
+    @pytest.mark.parametrize("value", [True, 3, {"$": 3}, ["x:A", None]])
+    def test_non_string_prov_type_rejected(self, tmp_path, value):
+        doc = {"entity": {"e1": {"prov:type": value}}}
+        for mode in ("application", "generic"):
+            with pytest.raises(DataFormatError, match="'e1'"):
+                load_provjson(doc, mode, graph_id="d")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["types", "--data", str(path), "--h", "0"]) == 3
+
+    @pytest.mark.parametrize("endpoint", [5, None, ["e1"], {"$": "e1"}])
+    def test_non_string_relation_endpoint_rejected(self, tmp_path, endpoint):
+        doc = {
+            "entity": {"e1": {}},
+            "activity": {"a1": {}},
+            "used": {"_:u1": {"prov:activity": "a1", "prov:entity": endpoint}},
+        }
+        with pytest.raises(DataFormatError, match="'_:u1'"):
+            load_provjson(doc, graph_id="d")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["types", "--data", str(path), "--h", "0"]) == 3
+
+    def test_array_under_node_id_unions_labels(self):
+        doc = {"entity": {
+            "e1": [{"prov:type": "x:A"}, {"prov:type": ["x:B", {"$": "x:C"}]}, {}],
+            "e2": [],
+        }}
+        app = load_provjson(doc, graph_id="d")
+        assert app.nodes == {
+            "e1": frozenset({"ent", "x:A", "x:B", "x:C"}), "e2": frozenset({"ent"}),
+        }
+        assert load_provjson(doc, "generic", graph_id="d").nodes["e1"] == {"ent"}
+
+    def test_array_under_relation_id_yields_one_edge_each(self):
+        doc = {
+            "entity": {"e1": {}, "e2": {}},
+            "activity": {"a1": {}},
+            "used": {"_:u1": [
+                {"prov:activity": "a1", "prov:entity": "e1"},
+                {"prov:activity": "a1", "prov:entity": "e2"},
+                {"prov:activity": "a1", "prov:entity": "e1"},
+            ]},
+            "wasGeneratedBy": {"_:g1": {"prov:entity": "e2", "prov:activity": "a1"}},
+        }
+        graph = load_provjson(doc, graph_id="d")
+        assert graph.edges == (
+            ("a1", "e1", "use"), ("a1", "e1", "use"), ("a1", "e2", "use"), ("e2", "a1", "gen"),
+        )
+        with pytest.raises(DataFormatError, match="'_:u2'"):
+            load_provjson({**doc, "used": {"_:u2": [{"prov:activity": "a1"}]}}, graph_id="d")
+
 
 class TestStorage:
     def make_dataset(self, seed=0, count=5):
@@ -246,10 +304,16 @@ class TestStorage:
             ("edges", [["n", "n"]]),
             ("nodes", [{"id": 1, "labels": ["ent"]}]),
             ("nodes", [{"id": "n", "labels": ["ent", 5]}]),
+            ("edges", [["n", "n", "derivedFrom"]]),
+            ("edges", [["n", "n", "der"], ["zz", "n", "der"]]),
+            ("edges", [["n", "zz", "der"]]),
+            ("nodes", [{"id": "n", "labels": []}]),
+            ("nodes", [{"id": "n", "labels": ["ent", ""]}]),
         ],
         ids=[
             "string-labels", "duplicate-node", "int-graph-id", "two-item-edge",
-            "int-node-id", "int-label",
+            "int-node-id", "int-label", "unknown-edge-label", "undeclared-source",
+            "undeclared-destination", "empty-label-list", "empty-label",
         ],
     )
     def test_malformed_record_rejected(self, tmp_path, field, value):
@@ -277,3 +341,73 @@ class TestStorage:
             Dataset(fam, {})
         with pytest.raises(ValueError):
             Dataset(fam, {"g1": "a", "g2": "b"})
+
+
+#: Id characters JSON escapes or that are not ASCII; digits make "n10" < "n2".
+ID_CHARS = st.sampled_from(list('n0129"\\é☃ \U0001f600'))
+LABELS = ["ent", "act", "ag", "x:A", 'x:"q"', "x:é"]
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """Graphs with shuffled node and edge insertion, duplicate triples,
+    empty graphs and awkward ids."""
+    gids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), max_size=4, unique=True))
+    graphs = []
+    for gid in gids:
+        ids = draw(st.lists(
+            st.integers(0, 12).map(lambda i: f"n{i}") | st.text(ID_CHARS, min_size=1, max_size=3),
+            max_size=8, unique=True,
+        ))
+        nodes = {
+            nid: frozenset(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3)))
+            for nid in ids
+        }
+        edges = draw(st.lists(st.tuples(
+            st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(sorted(EDGE_LABELS)),
+        ), max_size=12)) if ids else []
+        edges += edges[: draw(st.integers(0, len(edges)))]
+        graphs.append(ProvGraph(
+            gid,
+            dict(draw(st.permutations(list(nodes.items())))),
+            tuple(draw(st.permutations(edges))),
+        ))
+    return tuple(graphs)
+
+
+def reference_line(graph: ProvGraph, label: str) -> str:
+    """One saved record as per-record ``json.dumps`` writes it."""
+    record = {
+        "id": graph.graph_id,
+        "label": label,
+        "nodes": [
+            {"id": nid, "labels": sorted(labels)} for nid, labels in sorted(graph.nodes.items())
+        ],
+        "edges": [list(e) for e in sorted(graph.edges)],
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@given(shuffled_graphs())
+@settings(max_examples=60, deadline=None)
+def test_columns_round_trip_graphs_and_bytes(graphs):
+    family = GraphFamily(graphs)
+    assert family.graphs == graphs
+    assert len(family) == len(graphs)
+    labels = {g.graph_id: f'c"{i % 2}é' for i, g in enumerate(graphs)}
+    ds = Dataset(family, labels, {"k": "v"})
+    text = dataset_texts(ds)["graphs.jsonl"]
+    assert text == "\n".join(reference_line(g, labels[g.graph_id]) for g in graphs) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        save_internal(ds, Path(tmp) / "d")
+        loaded = load_internal(Path(tmp) / "d")
+        assert loaded == ds and loaded.family.graphs == graphs
+        # The same records with every node and label list reversed.
+        unsorted = Path(tmp) / "unsorted.jsonl"
+        records = [json.loads(line) for line in text.splitlines() if line]
+        for rec in records:
+            rec["nodes"] = [{"id": n["id"], "labels": n["labels"][::-1]} for n in rec["nodes"][::-1]]
+        unsorted.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        again = load_internal(unsorted).family
+        assert again.label_sets == family.label_sets
+        assert again == family
