@@ -5,10 +5,13 @@ The binary solver is sequential minimal optimization on the dual problem
     minimize (1/2) a' Q a - e' a   s.t.  y' a = 0,  0 <= a_i <= C
 
 with Q_ij = y_i y_j K_ij.  Working pairs are chosen by the maximal-violating
-rule with a second-order gain heuristic for the partner index; convergence is
-declared when the maximal KKT violation drops to ``tol``.  Multiclass
-problems train one-vs-rest and predict by argmax of decision values, with
-ties resolved toward the lowest class in sorted order.
+rule with a second-order gain heuristic for the partner index (WSS-2 of Fan,
+Chen & Lin, JMLR 2005), ties going to the lowest index; convergence is
+declared when the maximal KKT violation drops to ``tol``.  Each iteration
+writes into buffers allocated once per solve and updates the working sets
+only at the two indices whose multipliers moved.  Multiclass problems train
+one-vs-rest and predict by argmax of decision values, with ties resolved
+toward the lowest class in sorted order.
 """
 
 from __future__ import annotations
@@ -64,57 +67,85 @@ def smo_solve(
         raise ValueError(f"kernel shape {k.shape} does not match {n} labels")
     if C < 0:
         raise ValueError("C must be >= 0")
-    alpha = np.zeros(n)
     if C == 0:
-        return alpha, 0.0, 0, True, [0.0]
+        return np.zeros(n), 0.0, 0, True, [0.0]
+    C = float(C)
     grad = -np.ones(n)  # Q a - e at a = 0
     diag = np.diagonal(k).copy()
+    neg_y = -y
+    y_list = y.tolist()
+    alpha = [0.0] * n
+    # Only alpha_i and alpha_j move per step, so the working-set masks are
+    # updated at i and j alone.  The score buffers hold -y*grad on I_up
+    # (-inf elsewhere) and on I_low (+inf elsewhere).
+    up = y > 0
+    low = ~up
+    n_up, n_low = int(up.sum()), int(low.sum())
+    up_score = np.full(n, -np.inf)
+    low_score = np.full(n, np.inf)
+    neg_yg, vio, curv, gain, step, diff = (np.empty(n) for _ in range(6))
+    valid = np.empty(n, dtype=bool)
     objective = 0.0
     history = [0.0]
-    pos = y > 0
     it = 0
     converged = False
     while it < max_iter:
         it += 1
-        neg_yg = -y * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
-        if not up.any() or not low.any():
+        if not n_up or not n_low:
             converged = True
             break
-        m = neg_yg[up].max()
-        big_m = neg_yg[low].min()
-        if m - big_m <= tol:
+        np.multiply(neg_y, grad, out=neg_yg)
+        np.copyto(up_score, neg_yg, where=up)
+        np.copyto(low_score, neg_yg, where=low)
+        i = int(up_score.argmax())  # first index of the maximum
+        m = up_score[i]
+        if m - low_score[low_score.argmin()] <= tol:
             converged = True
             break
-        i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
         k_i = k[i]
         # Second-order partner: maximize violation^2 / curvature among I_low.
-        vio = m - neg_yg
-        valid = low & (vio > 0)
-        if not valid.any():
+        np.subtract(m, low_score, out=vio)
+        np.greater(vio, 0.0, out=valid)
+        np.add(diag[i], diag, out=curv)
+        np.multiply(2.0, k_i, out=step)
+        np.subtract(curv, step, out=curv)
+        np.fmax(curv, 1e-12, out=curv)
+        np.multiply(vio, vio, out=vio)
+        np.divide(vio, curv, out=vio)
+        gain.fill(-np.inf)
+        np.copyto(gain, vio, where=valid)
+        j = int(gain.argmax())
+        if gain[j] == -np.inf:  # no valid partner
             converged = True
             break
-        curv = diag[i] + diag - 2.0 * k_i
-        curv = np.where(curv > 1e-12, curv, 1e-12)
-        gain = np.where(valid, vio * vio / curv, -np.inf)
-        j = int(np.argmax(gain))
         # Step delta moves alpha_i by +y_i*delta and alpha_j by -y_j*delta.
-        a = max(curv[j], 1e-12)
-        d = y[i] * grad[i] - y[j] * grad[j]
+        y_i, y_j = y_list[i], y_list[j]
+        a_i, a_j = alpha[i], alpha[j]
+        a = float(curv[j])
+        d = y_i * float(grad[i]) - y_j * float(grad[j])
         delta = -d / a
-        lo_i, hi_i = ((-alpha[i], C - alpha[i]) if y[i] > 0 else (alpha[i] - C, alpha[i]))
-        lo_j, hi_j = ((alpha[j] - C, alpha[j]) if y[j] > 0 else (-alpha[j], C - alpha[j]))
+        lo_i, hi_i = ((-a_i, C - a_i) if y_i > 0 else (a_i - C, a_i))
+        lo_j, hi_j = ((a_j - C, a_j) if y_j > 0 else (-a_j, C - a_j))
         lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
         delta = min(max(delta, lo), hi)
         if delta == 0.0:
             converged = True
             break
-        alpha[i] += y[i] * delta
-        alpha[j] -= y[j] * delta
-        np.clip(alpha, 0.0, C, out=alpha)
-        k_j = k[j]
-        grad += delta * y * (k_i - k_j)
+        for t, y_t, value in ((i, y_i, a_i + y_i * delta), (j, y_j, a_j - y_j * delta)):
+            value = alpha[t] = min(max(value, 0.0), C)
+            now_up = value < C if y_t > 0 else value > 0
+            now_low = value > 0 if y_t > 0 else value < C
+            n_up += now_up - bool(up[t])
+            n_low += now_low - bool(low[t])
+            up[t], low[t] = now_up, now_low
+            if not now_up:
+                up_score[t] = -np.inf
+            if not now_low:
+                low_score[t] = np.inf
+        np.multiply(delta, y, out=step)
+        np.subtract(k_i, k[j], out=diff)
+        np.multiply(step, diff, out=step)
+        grad += step
         objective += d * delta + 0.5 * a * delta * delta
         history.append(objective)
     else:
@@ -123,14 +154,13 @@ def smo_solve(
             ConvergenceWarning,
             stacklevel=2,
         )
-    neg_yg = -y * grad
-    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-    low = (pos & (alpha > 0)) | (~pos & (alpha < C))
-    if up.any() and low.any():
+    alpha = np.array(alpha)
+    np.multiply(neg_y, grad, out=neg_yg)
+    if n_up and n_low:
         b = 0.5 * (neg_yg[up].max() + neg_yg[low].min())
-    elif up.any():
+    elif n_up:
         b = float(neg_yg[up].max())
-    elif low.any():
+    elif n_low:
         b = float(neg_yg[low].min())
     else:
         b = 0.0

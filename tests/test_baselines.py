@@ -5,12 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_family
-from provkit.baselines import _hist_gram, eh_gram, vh_gram, wl_colorings, wl_gram
+from provkit.baselines import eh_gram, vh_gram, wl_colorings, wl_gram
 from provkit.fixtures import pattern_fixtures
-from provkit.kernel import build_universe, featurize, gram
-from provkit.model import GraphFamily, ProvGraph
+from provkit.kernel import GramMatrix, _count_gram, build_universe, featurize, gram, gram_to_csv
+from provkit.model import EDGE_LABELS, GENERIC_LABELS, GraphFamily, ProvGraph
 from provkit.typeinf import PType, infer_types
 
 
@@ -45,10 +47,24 @@ def test_eh_counts_parallel_edges():
 
 
 def test_histogram_overflow_refused():
-    below = _hist_gram([Counter({"x": 2**31 - 1})], ["g"], 0, False)
+    # VH, EH and WL all hand their per-graph count matrix to _count_gram.
+    below = _count_gram(np.array([[2**31 - 1]], dtype=np.int64), ("g",), 0, False)
     assert below.values[0, 0] == (2**31 - 1) ** 2
     with pytest.raises(OverflowError):
-        _hist_gram([Counter({"x": 2**31})], ["g"], 0, False)
+        _count_gram(np.array([[2**31]], dtype=np.int64), ("g",), 0, False)
+
+
+def test_generic_mode_names_first_node_without_generic_label():
+    g1 = ProvGraph("g1", {"a": frozenset({"ent"}), "n2": frozenset({"x:P"})}, ())
+    g2 = ProvGraph("g2", {"n10": frozenset({"x:Q"}), "z": frozenset({"ent", "x:P"})}, ())
+    fam = GraphFamily((g1, g2))
+    msg = "node 'n2' has no generic label; cannot strip to generic mode"
+    for run in (lambda: wl_gram(fam, 2, "generic"), lambda: vh_gram(fam, "generic"),
+                lambda: wl_colorings(fam, 2, "generic")):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == msg
+    assert wl_gram(fam, 2).values.tolist() == [[6, 0], [0, 6]]
 
 
 class TestWl:
@@ -93,6 +109,84 @@ class TestWl:
         gm = wl_gram(fam, 3)
         eig = np.linalg.eigvalsh(gm.values.astype(np.float64))
         assert eig.min() >= -1e-8 * max(np.trace(gm.values), 1)
+
+
+#: Node ids such as "n10" and "n2" sort differently as strings and numbers.
+NODE_IDS = st.integers(0, 12).map(lambda i: f"n{i}")
+GENERIC = sorted(GENERIC_LABELS)
+APP = ["x:A", "x:B"]
+
+
+@st.composite
+def wl_families(draw):
+    """Families with shuffled edges, duplicate triples, parallel edges with
+    different labels, self-loops, sinks, empty graphs and isomorphic copies."""
+    graphs = []
+    for gi in range(draw(st.integers(1, 4))):
+        ids = draw(st.lists(NODE_IDS, max_size=8, unique=True))
+        nodes = {
+            nid: frozenset(draw(st.lists(st.sampled_from(GENERIC), min_size=1, max_size=2))
+                           + draw(st.lists(st.sampled_from(APP), max_size=2)))
+            for nid in ids
+        }
+        if ids and draw(st.integers(0, 9)) == 0:  # a node generic mode cannot keep
+            nodes[draw(st.sampled_from(ids))] = frozenset({"x:A"})
+        edges = []
+        if ids:
+            node = st.sampled_from(ids)
+            edges = draw(st.lists(st.tuples(node, node, st.sampled_from(sorted(EDGE_LABELS))),
+                                  max_size=14))
+            edges += edges[: draw(st.integers(0, len(edges)))]
+            edges += [(s, d, "spe") for s, d, _ in edges[: draw(st.integers(0, len(edges)))]]
+            edges += [(s, s, "der") for s in draw(st.lists(node, max_size=2))]
+        graphs.append(ProvGraph(f"g{gi}", nodes, tuple(draw(st.permutations(edges)))))
+    if draw(st.booleans()):  # an isomorphic copy, its node ids permuted
+        g = draw(st.sampled_from(graphs))
+        rename = dict(zip(g.nodes, draw(st.permutations(list(g.nodes)))))
+        nodes = {rename[nid]: labels for nid, labels in g.nodes.items()}
+        edges = tuple((rename[s], rename[d], lab) for s, d, lab in g.edges)
+        graphs.append(ProvGraph("copy", nodes, edges))
+    return GraphFamily(tuple(graphs))
+
+
+def oracle_wl_gram(fam, h, mode, normalize) -> GramMatrix:
+    """The WL Gram from ``wl_colorings``: Python-int sums of per-iteration
+    histogram dot products, then the cosine formula."""
+    ids = fam.graph_ids
+    hists = [[Counter(level[gid].values()) for gid in ids] for level in wl_colorings(fam, h, mode)]
+    n = len(ids)
+    values = np.array(
+        [[sum(sum(c * it[j][key] for key, c in it[i].items()) for it in hists) for j in range(n)]
+         for i in range(n)],
+        dtype=np.int64,
+    ).reshape(n, n)
+    if normalize:
+        diag = np.diagonal(values).astype(np.float64)
+        values = values.astype(np.float64) / np.sqrt(np.outer(diag, diag))
+    return GramMatrix(ids, values, h, normalize)
+
+
+@given(wl_families(), st.sampled_from(["application", "generic"]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_wl_gram_matches_colorings_oracle(fam, mode, normalize):
+    if mode == "generic" and any(not s & GENERIC_LABELS for s in fam.label_sets):
+        with pytest.raises(ValueError) as want:
+            wl_colorings(fam, 0, mode)
+        with pytest.raises(ValueError) as got:
+            wl_gram(fam, 0, mode, normalize)
+        assert str(got.value) == str(want.value)
+        return
+    empty = np.any(np.diff(fam.node_offsets) == 0)
+    for h in range(5):
+        if normalize and empty:
+            with pytest.raises(ValueError, match="zero self-kernel"):
+                wl_gram(fam, h, mode, normalize)
+            continue
+        want = oracle_wl_gram(fam, h, mode, normalize)
+        got = wl_gram(fam, h, mode, normalize)
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
+        assert gram_to_csv(got) == gram_to_csv(want)
 
 
 class TestPatternPair:

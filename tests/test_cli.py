@@ -352,9 +352,14 @@ def test_pipeline_never_builds_per_node_dicts(sim_dir, tmp_path, monkeypatch):
                "--out", tmp_path / "f.csv") == 0
     assert run("gram", "--data", sim_dir, "--method", "A3", "--normalize",
                "--out", tmp_path / "g.csv") == 0
+    for kern in (("wl", "--h", 3), ("vh",), ("eh",)):
+        assert run("gram", "--data", sim_dir, "--kernel", *kern,
+                   "--out", tmp_path / f"{kern[0]}.csv") == 0
     two_class = two_class_dataset(tmp_path / "two")
     assert run("xval", "--data", two_class, "--method", "A0", "--k", 2, "--repeats", 1,
                "--out", tmp_path / "x.json") == 0
+    assert run("xval", "--data", two_class, "--kernel", "wl", "--h", 1, "--k", 2,
+               "--repeats", 1, "--out", tmp_path / "xw.json") == 0
     assert run("explain", "--data", sim_dir, "--feature", "FA2_0",
                "--out", tmp_path / "e.json") == 0
     assert run("explain", "--data", sim_dir, "--feature", "FA2_0",

@@ -1,7 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from provkit.svm import BinarySvm, OvrSvm, smo_solve, svm_predict, svm_train
+from provkit.svm import (
+    BinarySvm,
+    ConvergenceWarning,
+    OvrSvm,
+    smo_solve,
+    svm_predict,
+    svm_train,
+)
 
 
 def linear_gram(points):
@@ -122,3 +133,131 @@ def test_kernel_shape_mismatch_rejected():
         smo_solve(np.eye(3), np.array([1.0, -1.0]), C=1.0)
     with pytest.raises(ValueError):
         svm_train(np.eye(3), ["a", "b"], C=1.0)
+
+
+def _reference_smo(kernel, y, C, tol=1e-3, max_iter=200_000):
+    """The plain SMO loop: fresh masks and temporaries every iteration.
+
+    Independent oracle for ``smo_solve``, which must agree with it bit for bit.
+    """
+    k = np.asarray(kernel, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    if k.shape != (n, n):
+        raise ValueError(f"kernel shape {k.shape} does not match {n} labels")
+    if C < 0:
+        raise ValueError("C must be >= 0")
+    alpha = np.zeros(n)
+    if C == 0:
+        return alpha, 0.0, 0, True, [0.0]
+    grad = -np.ones(n)  # Q a - e at a = 0
+    diag = np.diagonal(k).copy()
+    objective = 0.0
+    history = [0.0]
+    pos = y > 0
+    it = 0
+    converged = False
+    while it < max_iter:
+        it += 1
+        neg_yg = -y * grad
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        m = neg_yg[up].max()
+        big_m = neg_yg[low].min()
+        if m - big_m <= tol:
+            converged = True
+            break
+        i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
+        k_i = k[i]
+        # Second-order partner: maximize violation^2 / curvature among I_low.
+        vio = m - neg_yg
+        valid = low & (vio > 0)
+        if not valid.any():
+            converged = True
+            break
+        curv = diag[i] + diag - 2.0 * k_i
+        curv = np.where(curv > 1e-12, curv, 1e-12)
+        gain = np.where(valid, vio * vio / curv, -np.inf)
+        j = int(np.argmax(gain))
+        # Step delta moves alpha_i by +y_i*delta and alpha_j by -y_j*delta.
+        a = max(curv[j], 1e-12)
+        d = y[i] * grad[i] - y[j] * grad[j]
+        delta = -d / a
+        lo_i, hi_i = ((-alpha[i], C - alpha[i]) if y[i] > 0 else (alpha[i] - C, alpha[i]))
+        lo_j, hi_j = ((alpha[j] - C, alpha[j]) if y[j] > 0 else (-alpha[j], C - alpha[j]))
+        lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
+        delta = min(max(delta, lo), hi)
+        if delta == 0.0:
+            converged = True
+            break
+        alpha[i] += y[i] * delta
+        alpha[j] -= y[j] * delta
+        np.clip(alpha, 0.0, C, out=alpha)
+        k_j = k[j]
+        grad += delta * y * (k_i - k_j)
+        objective += d * delta + 0.5 * a * delta * delta
+        history.append(objective)
+    else:
+        warnings.warn(
+            f"SMO hit the iteration cap ({max_iter}) before reaching tol={tol}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    neg_yg = -y * grad
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+    low = (pos & (alpha > 0)) | (~pos & (alpha < C))
+    if up.any() and low.any():
+        b = 0.5 * (neg_yg[up].max() + neg_yg[low].min())
+    elif up.any():
+        b = float(neg_yg[up].max())
+    elif low.any():
+        b = float(neg_yg[low].min())
+    else:
+        b = 0.0
+    return alpha, float(b), it, converged, history
+
+
+@st.composite
+def smo_problems(draw):
+    """PSD Grams of small integer count matrices, raw or cosine-normalized,
+    with duplicated rows, one-sided labels and iteration caps."""
+    n = draw(st.integers(2, 24))
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    x = np.array(rows, dtype=np.int64)
+    dups = draw(st.integers(0, n // 2))
+    x[n - dups :] = x[:dups]
+    k = (x @ x.T).astype(np.float64)
+    if draw(st.booleans()):
+        diag = np.diagonal(k).copy()
+        diag[diag == 0] = 1.0
+        k = k / np.sqrt(np.outer(diag, diag))
+    y = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y[:] = y[0]  # one-sided labels
+    C = draw(st.sampled_from([0, 1e-3, 1, 1.0, 100]))
+    max_iter = draw(st.sampled_from([3, 200_000]))
+    return k, y, C, max_iter
+
+
+@given(smo_problems())
+@settings(max_examples=300, deadline=None)
+def test_smo_matches_reference_bit_for_bit(problem):
+    k, y, C, max_iter = problem
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = _reference_smo(k, y, C, 1e-3, max_iter)
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = smo_solve(k, y, C, 1e-3, max_iter)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1] and np.signbit(got[1]) == np.signbit(want[1])
+    assert got[2:4] == want[2:4]
+    assert got[4] == want[4]
+    assert [w.category for w in got_warned] == [w.category for w in want_warned]
+    assert all(w.category is ConvergenceWarning for w in got_warned)
+
