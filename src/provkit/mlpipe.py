@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Dataset, GraphFamily
+from .model import Dataset
 from .svm import svm_train
 
 
@@ -86,11 +86,11 @@ def balance_undersample(dataset: Dataset, seed: int = 0) -> Dataset:
             keep.update(ids[i] for i in sorted(chosen))
         else:
             keep.update(ids)
-    graphs = tuple(g for g in dataset.family.graphs if g.graph_id in keep)
-    labels = {gid: dataset.class_labels[gid] for gid in (g.graph_id for g in graphs)}
+    family = dataset.family.select([gid in keep for gid in dataset.family.graph_ids])
+    labels = {gid: dataset.class_labels[gid] for gid in family.graph_ids}
     meta = dict(dataset.meta)
     meta["balance_seed"] = int(seed)
-    return Dataset(family=GraphFamily(graphs), class_labels=labels, meta=meta)
+    return Dataset(family=family, class_labels=labels, meta=meta)
 
 
 def _fold_assignment(

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +85,16 @@ class ProvGraph:
             raise ValueError(fault)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _canonical(cls, graph_id: str, nodes: dict[str, frozenset[str]],
+                   edges: tuple[tuple[str, str, str], ...]) -> "ProvGraph":
+        """A graph from fields that are already valid and canonical: string
+        ids, frozen label sets and sorted edges.  Skips ``__post_init__``."""
+        graph = object.__new__(cls)
+        for name, value in (("graph_id", graph_id), ("nodes", nodes), ("edges", edges)):
+            object.__setattr__(graph, name, value)
+        return graph
 
     @property
     def n_nodes(self) -> int:
@@ -200,15 +210,48 @@ class GraphFamily:
         node_sets, src, dst, codes = map(np.concatenate, parts)
         # Exact while (nodes ** 2) * 16 < 2**63, far more nodes than fit in memory.
         order = np.argsort((src.astype(np.int64) * len(node_ids) + dst) * 16 + codes, kind="stable")
-        columns = (
+        self._set_columns(
             tuple(graph_ids), np.frombuffer(node_offsets, np.int64), tuple(node_ids),
             node_sets, tuple(label_sets),
             np.frombuffer(edge_offsets, np.int64), src[order], dst[order], codes[order],
         )
+
+    def _set_columns(self, *columns) -> None:
         for f, column in zip(fields(self), columns):
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
             object.__setattr__(self, f.name, column)
+
+    def select(self, keep: Sequence[bool]) -> "GraphFamily":
+        """The graphs where the boolean mask ``keep`` is true, in family order.
+
+        Sliced from the columns, which are already valid, and equal to the
+        family built from those graphs: label sets are renumbered in order of
+        first appearance among the kept nodes.
+        """
+        kept = np.flatnonzero(keep)
+        n, e = self.node_offsets, self.edge_offsets
+        n_count, e_count = (n[1:] - n[:-1])[kept], (e[1:] - e[:-1])[kept]
+        node_offsets = np.concatenate(([0], np.cumsum(n_count)))
+        edge_offsets = np.concatenate(([0], np.cumsum(e_count)))
+        # Each kept graph's nodes move down by one shift, and so do its edges' ends.
+        shift = n[kept] - node_offsets[:-1]
+        nodes = np.arange(node_offsets[-1]) + np.repeat(shift, n_count)
+        edges = np.arange(edge_offsets[-1]) + np.repeat(e[kept] - edge_offsets[:-1], e_count)
+        edge_shift = np.repeat(shift, e_count).astype(self.src.dtype)
+        sets = self.node_sets[nodes]
+        used, first = np.unique(sets, return_index=True)
+        used = used[np.argsort(first)]
+        renumber = np.zeros(len(self.label_sets), self.node_sets.dtype)
+        renumber[used] = np.arange(len(used))
+        family = GraphFamily.__new__(GraphFamily)
+        family._set_columns(
+            tuple(map(self.graph_ids.__getitem__, kept.tolist())), node_offsets,
+            tuple(map(self.node_ids.__getitem__, nodes.tolist())), renumber[sets],
+            tuple(map(self.label_sets.__getitem__, used.tolist())), edge_offsets,
+            self.src[edges] - edge_shift, self.dst[edges] - edge_shift, self.edge_labels[edges],
+        )
+        return family
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphFamily):
@@ -224,7 +267,11 @@ class GraphFamily:
 
     @cached_property
     def graphs(self) -> tuple[ProvGraph, ...]:
-        """One :class:`ProvGraph` per graph, built from the columns on first use."""
+        """One :class:`ProvGraph` per graph, built from the columns on first use.
+
+        The columns are validated and canonical, so the views skip
+        ``ProvGraph``'s checks and share the ``label_sets`` frozensets.
+        """
         ids, n, e = self.node_ids, self.node_offsets.tolist(), self.edge_offsets.tolist()
         sets = list(map(self.label_sets.__getitem__, self.node_sets.tolist()))
         edges = list(zip(
@@ -233,8 +280,8 @@ class GraphFamily:
             map(EDGE_LABEL_ORDER.__getitem__, self.edge_labels.tolist()),
         ))
         return tuple(
-            ProvGraph(gid, dict(zip(ids[n[i] : n[i + 1]], sets[n[i] : n[i + 1]])),
-                      tuple(edges[e[i] : e[i + 1]]))
+            ProvGraph._canonical(gid, dict(zip(ids[n[i] : n[i + 1]], sets[n[i] : n[i + 1]])),
+                                 tuple(edges[e[i] : e[i + 1]]))
             for i, gid in enumerate(self.graph_ids)
         )
 

@@ -29,6 +29,22 @@ with the tick in the counter, so a given (run, tick, actor) always sees the
 same values no matter what else ran before it.  Stream 0 belongs to the
 world (spawns, respawns), stream ``1 + p`` to player ``p`` (throws, restock
 amounts).
+
+A run is evaluated tick by tick, with the same result as stepping each
+player through its own distance scans and fresh generators:
+
+* Creatures move only when the world refreshes at the start of a tick, and
+  each player moves only itself, so one players x stops and one players x
+  creatures distance matrix taken right after the refresh hold every
+  player's exact pre-step distances for the whole tick.
+* Within a tick creatures only die.  A target picked (first index of the
+  minimum or maximum) over every creature is therefore still the pick over
+  the living while it lives; only a player whose pick an earlier player
+  captured in the same tick chooses again, on the current mask.
+* Philox is counter-based, so each stream's generator is built once per
+  run and rewound to counter ``[tick, 0, 0, 0]`` with an empty buffer before
+  each draw, which draws exactly what a fresh generator at that counter
+  draws.
 """
 
 from __future__ import annotations
@@ -106,12 +122,32 @@ class SimParams:
         return out
 
 
-def _stream(run_seed: int, stream: int, tick_word: int) -> np.random.Generator:
-    bit = np.random.Philox(
-        key=np.array([run_seed, stream], dtype=np.uint64),
-        counter=np.array([tick_word, 0, 0, 0], dtype=np.uint64),
-    )
-    return np.random.Generator(bit)
+class _TickStream:
+    """One Philox stream of a run, rewound to a tick before its draws.
+
+    ``at(tick)`` resets the counter to ``[tick, 0, 0, 0]`` and empties the
+    output buffer, so the generator it returns draws exactly what a fresh
+    Philox keyed ``[run_seed, stream]`` at that counter draws, without the
+    cost of a new bit generator.
+    """
+
+    def __init__(self, run_seed: int, stream: int):
+        key = np.array([run_seed, stream], dtype=np.uint64)
+        self._bit = np.random.Philox(key=key)
+        self._gen = np.random.Generator(self._bit)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, tick: int) -> np.random.Generator:
+        self._state["state"]["counter"][0] = tick
+        self._bit.state = self._state
+        return self._gen
 
 
 def _torus_delta(a: int, b: int, size: int) -> int:
@@ -229,14 +265,16 @@ class _World:
     alive: np.ndarray = field(init=False)
     stop_x: np.ndarray = field(init=False)
     stop_y: np.ndarray = field(init=False)
-    px: np.ndarray = field(init=False)
-    py: np.ndarray = field(init=False)
+    px: list[int] = field(init=False)
+    py: list[int] = field(init=False)
+    stream: _TickStream = field(init=False)
     next_uid: int = 0
 
     def __post_init__(self):
         p = self.params
         gx, gy = p.grid
-        rng = _stream(self.run_seed, 0, 0)
+        self.stream = _TickStream(self.run_seed, 0)
+        rng = self.stream.at(0)
         self.stop_x = rng.integers(0, gx, size=p.n_pokestops)
         self.stop_y = rng.integers(0, gy, size=p.n_pokestops)
         self.pox = rng.integers(0, gx, size=p.n_pokemons)
@@ -246,8 +284,8 @@ class _World:
         self.expiry = lifetime.copy()
         self.uid = np.arange(p.n_pokemons, dtype=np.int64)
         self.alive = np.ones(p.n_pokemons, dtype=bool)
-        self.px = rng.integers(0, gx, size=p.n_players)
-        self.py = rng.integers(0, gy, size=p.n_players)
+        self.px = rng.integers(0, gx, size=p.n_players).tolist()
+        self.py = rng.integers(0, gy, size=p.n_players).tolist()
         self.next_uid = p.n_pokemons
 
     def refresh(self, tick: int) -> None:
@@ -258,7 +296,7 @@ class _World:
         k = int(dead.sum())
         if k == 0:
             return
-        rng = _stream(self.run_seed, 0, tick + 1)
+        rng = self.stream.at(tick + 1)
         idx = np.flatnonzero(dead)
         self.pox[idx] = rng.integers(0, gx, size=k)
         self.poy[idx] = rng.integers(0, gy, size=k)
@@ -274,44 +312,56 @@ def simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
     p = params
     run_seed = p.seed + run
     world = _World(p, run_seed)
+    px, py = world.px, world.py
+    stops = list(zip(world.stop_x.tolist(), world.stop_y.tolist()))
+    streams = [_TickStream(run_seed, 1 + i) for i in range(p.n_players)]
     balls = [p.initial_balls] * p.n_players
     storage: list[list[tuple[int, int, int]]] = [[] for _ in range(p.n_players)]
     recorders = [
         _Recorder(f"{p.mode}-s{run:02d}-p{i:02d}") for i in range(p.n_players)
     ]
+    chasers = [
+        i for i in range(p.n_players) if p.mode == "disposal" or TEAMS[i % 3] == "Instinct"
+    ]
     for tick in range(p.max_ticks):
         world.refresh(tick)
+        # Every player's pre-step distances at once: creatures move only in
+        # refresh and each player moves only itself.
+        ax, ay = np.array(px)[:, None], np.array(py)[:, None]
+        near_stop = _torus_dist(ax, ay, world.stop_x, world.stop_y, p.grid).argmin(axis=1).tolist()
+        alive, strength = world.alive, world.strength
+        # Targeting: Valor the strongest, Mystic the weakest; chasers the closest.
+        picks = [int(strength.argmax()), int(strength.argmin()), -1] * (p.n_players // 3)
+        dist = _torus_dist(ax[chasers], ay[chasers], world.pox, world.poy, p.grid)
+        for i, slot in zip(chasers, dist.argmin(axis=1).tolist()):
+            picks[i] = slot
         for i in range(p.n_players):
             team = TEAMS[i % 3]
             rec = recorders[i]
+            # Coordinates stay in range, so a player has arrived exactly when
+            # its square equals the target's; a step toward it from there stays.
             if balls[i] == 0:
-                dist = _torus_dist(
-                    world.px[i], world.py[i], world.stop_x, world.stop_y, p.grid
-                )
-                j = int(np.argmin(dist))
-                if dist[j] > 0:
-                    world.px[i], world.py[i] = _step_toward(
-                        world.px[i], world.py[i], world.stop_x[j], world.stop_y[j], p.grid
-                    )
-                if int(_torus_dist(world.px[i], world.py[i],
-                                   world.stop_x[j], world.stop_y[j], p.grid)) == 0:
-                    rng = _stream(run_seed, 1 + i, tick)
+                j = near_stop[i]
+                px[i], py[i] = _step_toward(px[i], py[i], *stops[j], p.grid)
+                if (px[i], py[i]) == stops[j]:
+                    rng = streams[i].at(tick)
                     balls[i] += int(rng.integers(p.collect_min, p.collect_max + 1))
                     rec.record("collecting", f"pokestop{j}", "pg:PokeStop")
                 continue
-            slot = _choose_target(
-                p.mode, team, world.px[i], world.py[i],
-                world.pox, world.poy, world.strength, world.alive, p.grid,
-            )
-            if slot < 0:
-                continue
-            tx, ty = int(world.pox[slot]), int(world.poy[slot])
-            if int(_torus_dist(world.px[i], world.py[i], tx, ty, p.grid)) > 0:
-                world.px[i], world.py[i] = _step_toward(
-                    world.px[i], world.py[i], tx, ty, p.grid
+            # A pick over every creature is still the pick over the living
+            # while it lives; otherwise choose again on the current mask.
+            slot = picks[i]
+            if not alive[slot]:
+                slot = _choose_target(
+                    p.mode, team, px[i], py[i],
+                    world.pox, world.poy, strength, alive, p.grid,
                 )
-                if int(_torus_dist(world.px[i], world.py[i], tx, ty, p.grid)) > 0:
+                if slot < 0:
                     continue
+            tx, ty = int(world.pox[slot]), int(world.poy[slot])
+            px[i], py[i] = _step_toward(px[i], py[i], tx, ty, p.grid)
+            if (px[i], py[i]) != (tx, ty):
+                continue
             if len(storage[i]) >= p.max_storage:
                 pick = _dispose_pick(team, storage[i]) if p.mode == "disposal" else -1
                 if pick < 0:
@@ -319,12 +369,12 @@ def simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
                 uid, _, _ = storage[i].pop(pick)
                 rec.record("disposing", f"pokemon{uid}", "pg:Pokemon")
             balls[i] -= 1
-            rng = _stream(run_seed, 1 + i, tick)
+            rng = streams[i].at(tick)
             r = float(rng.uniform(0.0, p.strength_max))
-            uid = int(world.uid[slot])
-            if r > world.strength[slot]:
-                storage[i].append((uid, int(world.strength[slot]), tick))
-                world.alive[slot] = False
+            uid, s = int(world.uid[slot]), int(strength[slot])
+            if r > s:
+                storage[i].append((uid, s, tick))
+                alive[slot] = False
                 rec.record("capturing", f"pokemon{uid}", "pg:Pokemon")
             else:
                 rec.record("throwing", f"pokemon{uid}", "pg:Pokemon")

@@ -10,6 +10,7 @@ determinism checks so the module stays inside its end-to-end time budget.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -29,6 +30,7 @@ from provkit.kernel import build_universe, featurize, gram, hamming_distance
 from provkit.mlpipe import mannwhitney_u, repeated_kfold
 from provkit.model import EDGE_LABELS, GraphFamily, ProvGraph
 from provkit.pgsim import APPLICATION_LABELS, SimParams, generate_dataset
+from provkit.storage import dataset_texts
 from provkit.typeinf import (
     LabelWalk,
     PType,
@@ -269,6 +271,27 @@ def test_08_simulated_dataset_structure(pipelines):
         if disposal.class_labels[g.graph_id] == "Valor":
             for labels in g.nodes.values():
                 assert "pg:Disposing" not in labels
+
+
+#: SHA-256 of each saved file of the default datasets, ``SimParams(mode=m, seed=0)``.
+DEFAULT_DATASET_SHA256 = {
+    "targeting": {
+        "graphs.jsonl": "f0fb88d57998fbe9edbfafbae5d07f154719cd85563a1c4590cbc972029911de",
+        "manifest.json": "fc4d754eee5f1bfa74d542a5058798cbc6d59a46f039b838cb0aaaf6b2764d5c",
+    },
+    "disposal": {
+        "graphs.jsonl": "5839b6635354d85797e9ae1da80776b5c44acee634de0f9a74169446994d15b2",
+        "manifest.json": "06c5f0fda30d8fce0e4a15bba5aeaf1f479988367cea577694d3532c673214a5",
+    },
+}
+
+
+def test_default_datasets_are_byte_pinned(pipelines):
+    for mode, want in DEFAULT_DATASET_SHA256.items():
+        texts = dataset_texts(pipelines[mode]["ds"])
+        got = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for name, text in texts.items()}
+        assert got == want, mode
 
 
 @criterion(9, "classification beats chance within the time budget")

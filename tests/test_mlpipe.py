@@ -1,8 +1,15 @@
+import json
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+
+from conftest import random_family
+from provkit import cli
 
 from provkit.mlpipe import (
     CvReport,
@@ -12,6 +19,8 @@ from provkit.mlpipe import (
     repeated_kfold,
 )
 from provkit.model import Dataset, GraphFamily, ProvGraph
+from provkit.pgsim import SimParams, generate_dataset
+from provkit.storage import dataset_texts, save_internal
 
 
 def pairwise_u(a, b):
@@ -160,6 +169,65 @@ class TestBalance:
         other = [g.graph_id for g in balance_undersample(base, seed=3).family.graphs]
         assert one == two
         assert one != other  # 9-choose-4 leaves plenty of room
+
+
+def _reference_balance(dataset: Dataset, seed: int = 0) -> Dataset:
+    """Undersampling through ``ProvGraph`` views and a fully validated rebuild.
+
+    Independent oracle for ``balance_undersample``, which must equal it.
+    """
+    rng = np.random.default_rng(seed)
+    by_class: dict[str, list[str]] = {}
+    for gid in dataset.family.graph_ids:
+        by_class.setdefault(dataset.class_labels[gid], []).append(gid)
+    m = min(len(ids) for ids in by_class.values())
+    keep: set[str] = set()
+    for cls in sorted(by_class):
+        ids = by_class[cls]
+        if len(ids) > m:
+            chosen = rng.choice(len(ids), size=m, replace=False)
+            keep.update(ids[i] for i in sorted(chosen))
+        else:
+            keep.update(ids)
+    graphs = tuple(g for g in dataset.family.graphs if g.graph_id in keep)
+    labels = {gid: dataset.class_labels[gid] for gid in (g.graph_id for g in graphs)}
+    meta = dict(dataset.meta)
+    meta["balance_seed"] = int(seed)
+    return Dataset(family=GraphFamily(graphs), class_labels=labels, meta=meta)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 3), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_balance_matches_reference(family_seed, count, n_classes, seed):
+    rng = random.Random(family_seed)
+    family = random_family(rng, count, max_nodes=6, max_edges=12)
+    labels = {gid: f"c{rng.randrange(n_classes)}" for gid in family.graph_ids}
+    ds = Dataset(family, labels, {"k": "v"})
+    got, want = balance_undersample(ds, seed), _reference_balance(ds, seed)
+    assert got == want
+    for name in ("node_offsets", "node_sets", "edge_offsets", "src", "dst", "edge_labels"):
+        assert getattr(got.family, name).dtype == getattr(want.family, name).dtype, name
+    assert dataset_texts(got) == dataset_texts(want)
+
+
+@pytest.mark.parametrize("method", [["--method", "A2"], ["--kernel", "wl", "--h", "2"]])
+def test_xval_balance_report_bytes_match_reference(tmp_path, monkeypatch, method):
+    params = SimParams(mode="disposal", n_sims=1, max_ticks=30, seed=3)
+    ds = generate_dataset(params)
+    labels = dict(ds.class_labels)
+    for gid in ds.family.graph_ids[:9]:
+        labels[gid] = "Valor"  # unbalanced, so the undersampling drops graphs
+    save_internal(Dataset(ds.family, labels, ds.meta), tmp_path / "ds")
+    texts = []
+    for balance in (balance_undersample, _reference_balance):
+        monkeypatch.setattr(cli, "balance_undersample", balance)
+        out = tmp_path / f"{balance.__name__}.json"
+        assert cli.main(["xval", "--data", str(tmp_path / "ds"), *method, "--k", "3",
+                         "--repeats", "1", "--balance", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        report.pop("featurize_seconds")
+        texts.append(json.dumps(report, sort_keys=True))
+    assert texts[0] == texts[1]
 
 
 def block_kernel(labels, same=2.0, diag=1.0):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import random_family, random_graph
 from provkit.cli import main
 from provkit.fixtures import admission_fixture
 from provkit.model import (
@@ -411,3 +411,16 @@ def test_columns_round_trip_graphs_and_bytes(graphs):
         again = load_internal(unsorted).family
         assert again.label_sets == family.label_sets
         assert again == family
+
+
+@given(st.integers(0, 2**32), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_views_equal_validated_graphs(seed, count):
+    family = random_family(random.Random(seed), count)
+    for view in family.graphs:
+        again = ProvGraph(view.graph_id, view.nodes, view.edges)
+        assert view == again and list(view.nodes) == sorted(view.nodes)
+        assert type(view.edges) is tuple and list(view.edges) == sorted(view.edges)
+        # Views share the family's label sets instead of copying them.
+        assert all(any(labels is s for s in family.label_sets) for labels in view.nodes.values())
+    assert GraphFamily(family.graphs) == family
