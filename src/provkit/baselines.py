@@ -18,40 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import GramMatrix, _count_gram
-from .model import EDGE_LABEL_ORDER, GraphFamily, generic_part
-
-_MODES = ("generic", "application")
-
-
-def _check_mode(label_mode: str) -> None:
-    if label_mode not in _MODES:
-        raise ValueError(f"unknown label mode {label_mode!r}")
-
-
-def _label_colors(family: GraphFamily, label_mode: str) -> tuple[np.ndarray, int]:
-    """Each node's label color and the number of colors.
-
-    The color is the node's label set id, or in generic mode the id of the
-    set's generic part.  Raises ``ValueError`` naming the first node, in
-    family order, that generic mode would leave without a label.
-    """
-    _check_mode(label_mode)
-    if label_mode == "application":
-        return family.node_sets, len(family.label_sets)
-    ids: dict[frozenset[str], int] = {}
-    lut = np.array([ids.setdefault(generic_part(s), len(ids)) for s in family.label_sets], np.intp)
-    colors = lut[family.node_sets]
-    if frozenset() in ids:
-        v = int(np.argmax(colors == ids[frozenset()]))
-        raise ValueError(
-            f"node {family.node_ids[v]!r} has no generic label; cannot strip to generic mode"
-        )
-    return colors, len(ids)
-
-
-def _owners(offsets: np.ndarray) -> np.ndarray:
-    """The row of each item, for rows owning ``offsets[i]:offsets[i + 1]``."""
-    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+from .model import EDGE_LABEL_ORDER, GraphFamily
 
 
 def _counts(owner: np.ndarray, codes: np.ndarray, n_rows: int, width: int) -> np.ndarray:
@@ -62,16 +29,16 @@ def _counts(owner: np.ndarray, codes: np.ndarray, n_rows: int, width: int) -> np
 
 def vh_gram(family: GraphFamily, label_mode: str = "application", normalize: bool = False) -> GramMatrix:
     """Vertex histogram kernel: counts of identical node label sets."""
-    colors, width = _label_colors(family, label_mode)
-    x = _counts(_owners(family.node_offsets), colors, len(family), width)
+    label_sets, colors = family.label_sets_in(label_mode)
+    x = _counts(family.graph_of, colors, len(family), len(label_sets))
     return _count_gram(x, family.graph_ids, 0, normalize)
 
 
 def eh_gram(family: GraphFamily, normalize: bool = False) -> GramMatrix:
     """Edge histogram kernel: counts of edge labels, parallel edges included."""
-    x = _counts(
-        _owners(family.edge_offsets), family.edge_labels, len(family), len(EDGE_LABEL_ORDER)
-    )
+    # An edge belongs to its source's graph.
+    owner = family.graph_of[family.src]
+    x = _counts(owner, family.edge_labels, len(family), len(EDGE_LABEL_ORDER))
     return _count_gram(x, family.graph_ids, 0, normalize)
 
 
@@ -87,10 +54,8 @@ def wl_colorings(
     """
     if h < 0:
         raise ValueError("h must be >= 0")
-    _check_mode(label_mode)
+    _, set_of = family.label_sets_in(label_mode)
     graphs = list(family)
-    if label_mode == "generic":
-        graphs = [g.strip_application_labels() for g in graphs]
     table: dict = {}
 
     def compress(key) -> int:
@@ -102,13 +67,16 @@ def wl_colorings(
 
     adjacency = {}
     colors: dict[str, dict[str, int]] = {}
-    for g in graphs:
+    at = family.node_offsets.tolist()
+    for row, g in enumerate(graphs):
         adj: dict[str, list[str]] = {nid: [] for nid in g.nodes}
         for src, dst, _ in g.edges:
             adj[src].append(dst)
         adjacency[g.graph_id] = adj
+        lo, hi = at[row], at[row + 1]
         colors[g.graph_id] = {
-            nid: compress(("init", tuple(sorted(labels)))) for nid, labels in g.nodes.items()
+            nid: compress(("init", s))
+            for nid, s in zip(family.node_ids[lo:hi], set_of[lo:hi].tolist())
         }
     iterations = [colors]
     for _ in range(h):
@@ -167,8 +135,9 @@ def wl_gram(
     """
     if h < 0:
         raise ValueError("h must be >= 0")
-    colors, width = _label_colors(family, label_mode)
-    owner = _owners(family.node_offsets)
+    label_sets, colors = family.label_sets_in(label_mode)
+    width = len(label_sets)
+    owner = family.graph_of
     degree = np.bincount(family.src, minlength=len(colors))
     first = np.cumsum(degree) - degree  # each source's first edge position
     buckets = []

@@ -21,7 +21,7 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -53,40 +53,9 @@ EXIT_INTERNAL = 4
 
 _LABEL_CANON = {"app": "application", "generic": "generic"}
 _METHOD_RE = re.compile(r"([AGag])([0-5])")
+_SIM_FIELDS = frozenset(f.name for f in fields(SimParams))
 #: Characters encoded per write when staging an artifact (1 MiB).
 _WRITE_CHARS = 1 << 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved command invocation."""
-
-    command: str
-    data: Path | None = None
-    out: Path | None = None
-    h: int = 3
-    label_mode: str = "application"
-    kernel: str = "pk"
-    normalize: bool = False
-    seed: int = 0
-    C: float = 1.0
-    k: int = 10
-    repeats: int = 10
-    balance: bool = False
-    feature: str | None = None
-    distance_to: str | None = None
-    report_a: Path | None = None
-    report_b: Path | None = None
-    name_a: str | None = None
-    name_b: str | None = None
-    alpha: float = 0.05
-    sim: SimParams | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.h <= 5:
-            raise ValueError(f"h must be in 0..5, got {self.h}")
-        if self.label_mode not in ("generic", "application"):
-            raise ValueError(f"unknown label mode {self.label_mode!r}")
 
 
 class _ArtifactSink:
@@ -150,23 +119,23 @@ def _load_dataset(path: Path, need_labels: bool = False) -> Dataset:
     return ds
 
 
-def _build_gram(family: GraphFamily, cfg: RunConfig) -> GramMatrix:
-    if cfg.kernel == "pk":
-        assign = infer_types(family, cfg.h, cfg.label_mode)
+def _build_gram(family: GraphFamily, args: argparse.Namespace) -> GramMatrix:
+    if args.kernel == "pk":
+        assign = infer_types(family, args.h, args.label_mode)
         fm = featurize(assign, build_universe(assign))
-        return gram(fm, cfg.h, normalize=cfg.normalize)
-    if cfg.kernel == "vh":
-        return vh_gram(family, cfg.label_mode, normalize=cfg.normalize)
-    if cfg.kernel == "eh":
-        return eh_gram(family, normalize=cfg.normalize)
-    if cfg.kernel == "wl":
-        return wl_gram(family, cfg.h, cfg.label_mode, normalize=cfg.normalize)
-    raise ValueError(f"unknown kernel {cfg.kernel!r}")
+        return gram(fm, args.h, normalize=args.normalize)
+    if args.kernel == "vh":
+        return vh_gram(family, args.label_mode, normalize=args.normalize)
+    if args.kernel == "eh":
+        return eh_gram(family, normalize=args.normalize)
+    if args.kernel == "wl":
+        return wl_gram(family, args.h, args.label_mode, normalize=args.normalize)
+    raise ValueError(f"unknown kernel {args.kernel!r}")
 
 
-def _emit(cfg: RunConfig, sink: _ArtifactSink, text: str) -> None:
-    if cfg.out is not None:
-        sink.stage_text(cfg.out, text)
+def _emit(args: argparse.Namespace, sink: _ArtifactSink, text: str) -> None:
+    if args.out is not None:
+        sink.stage_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -175,62 +144,62 @@ def _json_text(blob: dict) -> str:
     return json.dumps(blob, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_types(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(cfg.data)
-    assign = infer_types(ds.family, cfg.h, cfg.label_mode)
-    _emit(cfg, sink, dump_types(assign))
+def cmd_types(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    ds = _load_dataset(args.data)
+    assign = infer_types(ds.family, args.h, args.label_mode)
+    _emit(args, sink, dump_types(assign))
 
 
-def cmd_featurize(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(cfg.data)
-    assign = infer_types(ds.family, cfg.h, cfg.label_mode)
+def cmd_featurize(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    ds = _load_dataset(args.data)
+    assign = infer_types(ds.family, args.h, args.label_mode)
     fm = featurize(assign, build_universe(assign))
     csv_text, sidecar = features_to_csv(fm)
-    sink.stage_text(cfg.out, csv_text)
-    sink.stage_text(cfg.out.with_suffix(".names.json"), _json_text(sidecar))
+    sink.stage_text(args.out, csv_text)
+    sink.stage_text(args.out.with_suffix(".names.json"), _json_text(sidecar))
 
 
-def cmd_gram(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(cfg.data)
+def cmd_gram(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    ds = _load_dataset(args.data)
     t0 = time.perf_counter()
-    gm = _build_gram(ds.family, cfg)
+    gm = _build_gram(ds.family, args)
     elapsed = time.perf_counter() - t0
-    sink.stage_text(cfg.out, gram_to_csv(gm))
+    sink.stage_text(args.out, gram_to_csv(gm))
     timing = {
         "featurize_seconds": elapsed,
-        "kernel": cfg.kernel,
-        "h": cfg.h,
-        "labels": cfg.label_mode,
-        "normalized": cfg.normalize,
+        "kernel": args.kernel,
+        "h": args.h,
+        "labels": args.label_mode,
+        "normalized": args.normalize,
         "graphs": len(ds.family),
     }
-    sink.stage_text(cfg.out.with_suffix(".timing.json"), _json_text(timing))
+    sink.stage_text(args.out.with_suffix(".timing.json"), _json_text(timing))
 
 
-def cmd_simulate(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    ds = generate_dataset(cfg.sim)
+def cmd_simulate(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    ds = generate_dataset(args.sim)
     for name, text in dataset_texts(ds).items():
-        sink.stage_text(Path(cfg.out) / name, text)
+        sink.stage_text(Path(args.out) / name, text)
 
 
-def cmd_xval(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(cfg.data, need_labels=True)
-    if cfg.balance:
-        ds = balance_undersample(ds, cfg.seed)
+def cmd_xval(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    ds = _load_dataset(args.data, need_labels=True)
+    if args.balance:
+        ds = balance_undersample(ds, args.seed)
     t0 = time.perf_counter()
-    gm = _build_gram(ds.family, cfg)
+    gm = _build_gram(ds.family, args)
     elapsed = time.perf_counter() - t0
     labels = np.array(ds.labels_in_family_order())
     report = repeated_kfold(
         gm.values,
         labels,
-        k=cfg.k,
-        repeats=cfg.repeats,
-        C=cfg.C,
-        seed=cfg.seed,
+        k=args.k,
+        repeats=args.repeats,
+        C=args.C,
+        seed=args.seed,
         featurize_seconds=elapsed,
     )
-    _emit(cfg, sink, _json_text(report.to_jsonable()))
+    _emit(args, sink, _json_text(report.to_jsonable()))
 
 
 def _read_report(path: Path) -> CvReport:
@@ -247,38 +216,38 @@ def _read_report(path: Path) -> CvReport:
         raise DataFormatError(f"{p}: {exc}") from exc
 
 
-def cmd_compare(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    a = _read_report(cfg.report_a)
-    b = _read_report(cfg.report_b)
-    name_a = cfg.name_a or cfg.report_a.stem
-    name_b = cfg.name_b or cfg.report_b.stem
-    result = compare_reports(a, b, name_a, name_b, alpha=cfg.alpha)
-    _emit(cfg, sink, _json_text(result))
+def cmd_compare(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    a = _read_report(args.report_a)
+    b = _read_report(args.report_b)
+    name_a = args.name_a or args.report_a.stem
+    name_b = args.name_b or args.report_b.stem
+    result = compare_reports(a, b, name_a, name_b, alpha=args.alpha)
+    _emit(args, sink, _json_text(result))
 
 
-def cmd_explain(cfg: RunConfig, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(cfg.data)
-    wanted = [cfg.feature] + ([cfg.distance_to] if cfg.distance_to else [])
+def cmd_explain(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    ds = _load_dataset(args.data)
+    wanted = [args.feature] + ([args.distance_to] if args.distance_to else [])
     assigns: dict[str, TypeAssignment] = {}
     universes: dict[str, TypeUniverse] = {}
     types = []
     for name in wanted:
         mode, _, _ = parse_feature_name(name)
         if mode not in universes:
-            assigns[mode] = infer_types(ds.family, cfg.h, mode)
+            assigns[mode] = infer_types(ds.family, args.h, mode)
             universes[mode] = build_universe(assigns[mode])
         types.append(universes[mode].feature_lookup(name))
-    if cfg.distance_to:
-        _emit(cfg, sink, _json_text(distance_report(types[0], types[1])))
+    if args.distance_to:
+        _emit(args, sink, _json_text(distance_report(types[0], types[1])))
         return
-    mode, _, _ = parse_feature_name(cfg.feature)
+    mode, _, _ = parse_feature_name(args.feature)
     hits = retrieve_instances(assigns[mode], types[0])
     blob = {
-        "feature": cfg.feature,
+        "feature": args.feature,
         "type": types[0].to_jsonable(),
         "instances": [list(hit) for hit in hits],
     }
-    _emit(cfg, sink, _json_text(blob))
+    _emit(args, sink, _json_text(blob))
 
 
 _HANDLERS = {
@@ -352,19 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_threads(p)
     p.add_argument("--out", type=Path, required=True, help="Gram CSV path")
 
-    base = SimParams()
-    p = sub.add_parser("simulate", help="generate a player-simulation dataset")
+    # Flags store into SimParams fields and are left out when not given, so
+    # SimParams holds the only defaults.
+    p = sub.add_parser(
+        "simulate",
+        help="generate a player-simulation dataset",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--sims", type=int, default=base.n_sims, help="number of runs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sims", type=int, dest="n_sims", help="number of runs")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--players", type=int, default=base.n_players)
-    p.add_argument("--grid", type=int, default=base.grid[0], help="square world size")
-    p.add_argument("--pokemons", type=int, default=base.n_pokemons)
-    p.add_argument("--pokestops", type=int, default=base.n_pokestops)
-    p.add_argument("--ticks", type=int, default=base.max_ticks)
-    p.add_argument("--balls", type=int, default=base.initial_balls)
-    p.add_argument("--storage", type=int, default=base.max_storage)
+    p.add_argument("--players", type=int, dest="n_players")
+    p.add_argument("--grid", type=int, help="square world size")
+    p.add_argument("--pokemons", type=int, dest="n_pokemons")
+    p.add_argument("--pokestops", type=int, dest="n_pokestops")
+    p.add_argument("--ticks", type=int, dest="max_ticks")
+    p.add_argument("--balls", type=int, dest="initial_balls")
+    p.add_argument("--storage", type=int, dest="max_storage")
 
     p = sub.add_parser("xval", help="repeated stratified k-fold cross-validation")
     add_data(p)
@@ -408,100 +382,49 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_method(parser, args) -> tuple[str, int]:
-    labels = getattr(args, "labels", None)
-    h = getattr(args, "h", None)
-    method = getattr(args, "method", None)
-    if method:
-        if labels is not None or h is not None:
+    if args.method:
+        if args.labels is not None or args.h is not None:
             parser.error("--method replaces --labels/--h; give one or the other")
-        m = _METHOD_RE.fullmatch(method)
+        m = _METHOD_RE.fullmatch(args.method)
         if not m:
             parser.error(
-                f"unrecognized method id {method!r} (expected G0..G5 or A0..A5)"
+                f"unrecognized method id {args.method!r} (expected G0..G5 or A0..A5)"
             )
         mode = "application" if m.group(1).upper() == "A" else "generic"
         return mode, int(m.group(2))
-    mode = _LABEL_CANON[labels] if labels else "application"
-    return mode, 3 if h is None else h
+    mode = _LABEL_CANON[args.labels] if args.labels else "application"
+    return mode, 3 if args.h is None else args.h
 
 
-def config_from_args(parser, args) -> RunConfig:
-    cmd = args.command
+def _resolve(parser, args) -> None:
+    """Fill in the settings that depend on more than one flag."""
     if getattr(args, "threads", 1) < 1:
         parser.error("threads must be >= 1")
     try:
-        if cmd == "simulate":
-            sim = SimParams(
-                mode=args.mode,
-                seed=args.seed,
-                n_sims=args.sims,
-                n_players=args.players,
-                grid=args.grid,
-                n_pokemons=args.pokemons,
-                n_pokestops=args.pokestops,
-                initial_balls=args.balls,
-                max_storage=args.storage,
-                max_ticks=args.ticks,
-            )
-            return RunConfig(command=cmd, out=args.out, seed=args.seed, sim=sim)
-        if cmd == "compare":
-            return RunConfig(
-                command=cmd,
-                report_a=args.report_a,
-                report_b=args.report_b,
-                name_a=args.name_a,
-                name_b=args.name_b,
-                alpha=args.alpha,
-                out=args.out,
-            )
-        if cmd == "explain":
-            feature_depths = [parse_feature_name(args.feature)[1]]
-            if args.distance_to:
-                feature_depths.append(parse_feature_name(args.distance_to)[1])
-            h = args.h if args.h is not None else max(feature_depths)
-            if h < max(feature_depths):
+        if args.command == "simulate":
+            given = {k: v for k, v in vars(args).items() if k in _SIM_FIELDS}
+            args.sim = SimParams(**given)
+        elif args.command == "explain":
+            names = [args.feature] + ([args.distance_to] if args.distance_to else [])
+            deepest = max(parse_feature_name(name)[1] for name in names)
+            if deepest > 5:
+                parser.error(f"feature depth {deepest} is outside 0..5")
+            if args.h is None:
+                args.h = deepest
+            elif args.h < deepest:
                 parser.error(
-                    f"--h {h} is below the deepest requested feature "
-                    f"(depth {max(feature_depths)})"
+                    f"--h {args.h} is below the deepest requested feature (depth {deepest})"
                 )
-            return RunConfig(
-                command=cmd,
-                data=args.data,
-                h=h,
-                feature=args.feature,
-                distance_to=args.distance_to,
-                out=args.out,
-            )
-        label_mode, h = _resolve_method(parser, args)
-        common = dict(
-            command=cmd,
-            data=args.data,
-            out=args.out,
-            h=h,
-            label_mode=label_mode,
-        )
-        if cmd == "xval":
-            return RunConfig(
-                kernel=args.kernel,
-                normalize=args.normalize,
-                seed=args.seed,
-                C=args.C,
-                k=args.k,
-                repeats=args.repeats,
-                balance=args.balance,
-                **common,
-            )
-        if cmd == "gram":
-            return RunConfig(kernel=args.kernel, normalize=args.normalize, **common)
-        return RunConfig(**common)
+        elif args.command != "compare":
+            args.label_mode, args.h = _resolve_method(parser, args)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _run(cfg: RunConfig) -> int:
+def _run(args: argparse.Namespace) -> int:
     sink = _ArtifactSink()
     try:
-        _HANDLERS[cfg.command](cfg, sink)
+        _HANDLERS[args.command](args, sink)
         written = sink.commit()
     except (DataFormatError, OSError, ValueError) as exc:
         sink.discard()
@@ -520,10 +443,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = config_from_args(parser, args)
+        _resolve(parser, args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return _run(cfg)
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -63,20 +64,15 @@ class TypeUniverse:
     def index_of(self, t: PType) -> int:
         depth = t.depth
         try:
-            return self._indexes()[depth][t]
+            return self._indexes[depth][t]
         except KeyError:
             raise StaleUniverseError(
                 f"type at depth {depth} not in universe (stale universe?): {t!r}"
             ) from None
 
+    @cached_property
     def _indexes(self) -> tuple[dict[PType, int], ...]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = tuple(
-                {t: i for i, t in enumerate(level)} for level in self.per_depth
-            )
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return tuple({t: i for i, t in enumerate(level)} for level in self.per_depth)
 
     def feature_name(self, depth: int, index: int) -> str:
         if not 0 <= depth <= self.h_max:
@@ -117,13 +113,13 @@ class FeatureMatrix:
     graph_ids: tuple[str, ...]
     mats: tuple[np.ndarray, ...]
 
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {gid: i for i, gid in enumerate(self.graph_ids)}
+
     def row_index(self, graph_id: str) -> int:
-        lookup = getattr(self, "_row_cache", None)
-        if lookup is None:
-            lookup = {gid: i for i, gid in enumerate(self.graph_ids)}
-            object.__setattr__(self, "_row_cache", lookup)
         try:
-            return lookup[graph_id]
+            return self._rows[graph_id]
         except KeyError:
             raise KeyError(f"unknown graph {graph_id!r}") from None
 
@@ -150,7 +146,7 @@ def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatr
         k = universe.size(depth)
         column = np.array([universe.index_of(t) for t in level], dtype=np.int64)
         typed = codes >= 0
-        cells = assignment.graph_of[typed] * k + column[codes[typed]]
+        cells = assignment.family.graph_of[typed] * k + column[codes[typed]]
         mats.append(np.bincount(cells, minlength=rows * k).reshape(rows, k))
     return FeatureMatrix(universe, assignment.graph_ids, tuple(mats))
 

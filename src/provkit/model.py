@@ -55,11 +55,6 @@ def generic_part(labels: frozenset[str]) -> frozenset[str]:
     return labels & GENERIC_LABELS
 
 
-def application_part(labels: frozenset[str]) -> frozenset[str]:
-    """The application subset of a node's label set."""
-    return labels - GENERIC_LABELS
-
-
 @dataclass(frozen=True, eq=True)
 class ProvGraph:
     """An immutable labeled directed multigraph.
@@ -284,6 +279,34 @@ class GraphFamily:
                                  tuple(edges[e[i] : e[i + 1]]))
             for i, gid in enumerate(self.graph_ids)
         )
+
+    @cached_property
+    def graph_of(self) -> np.ndarray:
+        """``graph_of[v]`` is the row of union node ``v``'s graph."""
+        return np.repeat(np.arange(len(self.graph_ids)), np.diff(self.node_offsets))
+
+    def label_sets_in(self, label_mode: str) -> tuple[tuple[frozenset[str], ...], np.ndarray]:
+        """The distinct node label sets as ``label_mode`` sees them, plus each
+        node's index into them.
+
+        ``"application"`` mode sees every label, so these are ``label_sets``
+        and ``node_sets``.  ``"generic"`` mode sees only generic labels; a
+        node left without one is a ``ValueError`` naming the first such node
+        in family order.
+        """
+        if label_mode == "application":
+            return self.label_sets, self.node_sets
+        if label_mode != "generic":
+            raise ValueError(f"unknown label mode {label_mode!r}")
+        ids: dict[frozenset[str], int] = {}
+        lut = np.array([ids.setdefault(generic_part(s), len(ids)) for s in self.label_sets], np.intc)
+        node_sets = lut[self.node_sets]
+        if frozenset() in ids:
+            v = int(np.argmax(node_sets == ids[frozenset()]))
+            raise ValueError(
+                f"node {self.node_ids[v]!r} has no generic label; cannot strip to generic mode"
+            )
+        return tuple(ids), node_sets
 
     @property
     def node_label_universe(self) -> frozenset[str]:

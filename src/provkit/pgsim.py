@@ -250,7 +250,11 @@ class _Recorder:
         self.state = new
 
     def build(self) -> ProvGraph:
-        return ProvGraph(self.graph_id, self.nodes, self.edges)
+        # Ids and labels are strings and every edge end is a recorded node,
+        # so ProvGraph's checks are skipped; generate_dataset's family build
+        # validates the graph once.
+        nodes = {nid: frozenset(labels) for nid, labels in self.nodes.items()}
+        return ProvGraph._canonical(self.graph_id, nodes, tuple(sorted(self.edges)))
 
 
 @dataclass
@@ -388,12 +392,17 @@ def generate_dataset(params: SimParams) -> Dataset:
     function of (mode, n_sims, seed) and individual runs can be reproduced
     in isolation.
     """
-    graphs: list[ProvGraph] = []
     labels: dict[str, str] = {}
-    for run in range(params.n_sims):
-        for i, g in enumerate(simulate_run(params, run)):
-            graphs.append(g)
-            labels[g.graph_id] = TEAMS[i % 3]
+
+    def records():
+        # One run's graphs at a time: each is flattened into the family and
+        # dropped before the next run starts.
+        for run in range(params.n_sims):
+            for i, g in enumerate(simulate_run(params, run)):
+                labels[g.graph_id] = TEAMS[i % 3]
+                yield g.graph_id, g.nodes.items(), g.edges
+
+    family = GraphFamily.from_records(records())
     meta = {
         "generator": "pgsim",
         "mode": params.mode,
@@ -401,5 +410,5 @@ def generate_dataset(params: SimParams) -> Dataset:
         "application_labels": list(APPLICATION_LABELS),
         "params": params.to_jsonable(),
     }
-    return Dataset(family=GraphFamily(tuple(graphs)), class_labels=labels, meta=meta)
+    return Dataset(family=family, class_labels=labels, meta=meta)
 

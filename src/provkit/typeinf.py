@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import EDGE_LABEL_ORDER, GENERIC_LABELS, GraphFamily, ProvGraph
+from .model import EDGE_LABEL_ORDER, GraphFamily, ProvGraph
 
 #: Bit per edge label: its family edge-label code's position.
 _EDGE_BIT = {lab: 1 << i for i, lab in enumerate(EDGE_LABEL_ORDER)}
@@ -156,10 +156,9 @@ def type_from_walks(walks: Iterable[LabelWalk], h: int) -> PType:
 class TypeAssignment:
     """Types for every node of a family at every depth ``0..h_max``, as columns.
 
-    Nodes are the family's union nodes (see :class:`GraphFamily`), and
-    ``graph_of[v]`` is the row of node ``v``'s graph.  ``types[d]`` holds the
-    distinct non-EMPTY depth-``d`` types in canonical ``PType.key`` order, and
-    ``codes[d][v]`` indexes it, with -1 for EMPTY.
+    Nodes are the family's union nodes (see :class:`GraphFamily`).
+    ``types[d]`` holds the distinct non-EMPTY depth-``d`` types in canonical
+    ``PType.key`` order, and ``codes[d][v]`` indexes it, with -1 for EMPTY.
     """
 
     label_mode: str
@@ -171,10 +170,6 @@ class TypeAssignment:
     @property
     def graph_ids(self) -> tuple[str, ...]:
         return self.family.graph_ids
-
-    @cached_property
-    def graph_of(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.graph_ids)), np.diff(self.family.node_offsets))
 
     @cached_property
     def _spans(self) -> dict[str, tuple[int, int]]:
@@ -199,7 +194,7 @@ class TypeAssignment:
 
     def node_at(self, v: int) -> tuple[str, str]:
         """The (graph id, node id) pair of union node ``v``."""
-        return self.graph_ids[int(self.graph_of[v])], self.family.node_ids[v]
+        return self.graph_ids[int(self.family.graph_of[v])], self.family.node_ids[v]
 
     @cached_property
     def by_graph(self) -> dict[str, dict[str, tuple[PType, ...]]]:
@@ -256,25 +251,15 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
     """Infer the type of every node at every depth ``0..h``.
 
     In ``"generic"`` mode only generic node labels enter ``tau_0``, so
-    application labels cannot leak into types; a node without a generic
-    label is a ``ValueError`` naming the first such node in family order.
+    application labels cannot leak into types; the labels come from
+    :meth:`GraphFamily.label_sets_in`, which rejects an unknown mode and a
+    node without a generic label.
     The layered dynamic program runs over the family's columns, all graphs
     together; results do not depend on node or edge insertion order.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
-    if label_mode not in ("generic", "application"):
-        raise ValueError(f"unknown label mode {label_mode!r}")
-
-    label_sets = family.label_sets
-    if label_mode == "generic":
-        label_sets = [labels & GENERIC_LABELS for labels in label_sets]
-        if not all(label_sets):
-            bare = np.array([not labels for labels in label_sets])[family.node_sets]
-            nid = family.node_ids[int(np.argmax(bare))]
-            raise ValueError(
-                f"node {nid!r} has no generic label; cannot strip to generic mode"
-            )
+    label_sets, label_codes = family.label_sets_in(label_mode)
     names = sorted(frozenset().union(*label_sets))
     width = max(1, -(-len(names) // _WORD_BITS))
     bit_of = {lab: (k // _WORD_BITS, 1 << (k % _WORD_BITS)) for k, lab in enumerate(names)}
@@ -293,7 +278,6 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
         return PType((*layers, tau0))
 
     # Depth 0: a node's type is its label set's.
-    label_codes = family.node_sets
     level, local = _classify(set_words, decode)
     types, codes = [level], [local[label_codes]]
 

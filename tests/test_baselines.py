@@ -54,16 +54,26 @@ def test_histogram_overflow_refused():
         _count_gram(np.array([[2**31]], dtype=np.int64), ("g",), 0, False)
 
 
-def test_generic_mode_names_first_node_without_generic_label():
+_BY_LABEL_MODE = {
+    "infer_types": lambda fam, mode: infer_types(fam, 2, mode),
+    "vh_gram": vh_gram,
+    "wl_gram": lambda fam, mode: wl_gram(fam, 2, mode),
+    "wl_colorings": lambda fam, mode: wl_colorings(fam, 2, mode),
+}
+
+
+@pytest.mark.parametrize("mode, msg", [
+    ("generic", "node 'n2' has no generic label; cannot strip to generic mode"),
+    ("bogus", "unknown label mode 'bogus'"),
+], ids=["generic", "bogus"])
+@pytest.mark.parametrize("name", list(_BY_LABEL_MODE))
+def test_generic_mode_names_first_node_without_generic_label(name, mode, msg):
     g1 = ProvGraph("g1", {"a": frozenset({"ent"}), "n2": frozenset({"x:P"})}, ())
     g2 = ProvGraph("g2", {"n10": frozenset({"x:Q"}), "z": frozenset({"ent", "x:P"})}, ())
     fam = GraphFamily((g1, g2))
-    msg = "node 'n2' has no generic label; cannot strip to generic mode"
-    for run in (lambda: wl_gram(fam, 2, "generic"), lambda: vh_gram(fam, "generic"),
-                lambda: wl_colorings(fam, 2, "generic")):
-        with pytest.raises(ValueError) as err:
-            run()
-        assert str(err.value) == msg
+    with pytest.raises(ValueError) as err:
+        _BY_LABEL_MODE[name](fam, mode)
+    assert str(err.value) == msg
     assert wl_gram(fam, 2).values.tolist() == [[6, 0], [0, 6]]
 
 

@@ -13,7 +13,8 @@ import pytest
 import provkit
 from provkit.cli import main
 from provkit.model import Dataset, GraphFamily, ProvGraph
-from provkit.storage import load_internal, save_internal
+from provkit.pgsim import SimParams
+from provkit.storage import MANIFEST_NAME, load_internal, save_internal
 
 
 def run(*argv) -> int:
@@ -67,6 +68,14 @@ class TestSimulate:
         assert run("simulate", *SIM_ARGS, "--out", again) == 0
         for name in ("graphs.jsonl", "manifest.json"):
             assert (again / name).read_bytes() == (sim_dir / name).read_bytes()
+
+    def test_omitted_flags_take_simparams_defaults(self, tmp_path):
+        out = tmp_path / "defaults"
+        assert run("simulate", "--mode", "targeting", "--sims", 1, "--ticks", 40,
+                   "--out", out) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+        want = SimParams(mode="targeting", n_sims=1, max_ticks=40)
+        assert manifest["meta"]["params"] == want.to_jsonable()
 
     def test_player_count_must_split_into_teams(self, tmp_path):
         code = run("simulate", "--mode", "targeting", "--players", 4,
@@ -286,6 +295,19 @@ class TestExitCodes:
 
     def test_malformed_feature_name_is_usage(self, sim_dir):
         assert run("explain", "--data", sim_dir, "--feature", "FB1_0") == 2
+
+    def test_feature_deeper_than_any_type_is_usage(self, sim_dir):
+        assert run("explain", "--data", sim_dir, "--feature", "FA9_0") == 2
+
+    def test_h_below_feature_depth_is_usage(self, sim_dir):
+        assert run("explain", "--data", sim_dir, "--feature", "FA3_0", "--h", 2) == 2
+
+    @pytest.mark.parametrize(
+        "command", ["types", "featurize", "gram", "simulate", "xval", "compare", "explain"]
+    )
+    def test_help_exits_zero(self, command, capsys):
+        assert run(command, "--help") == 0
+        assert capsys.readouterr().out.startswith(f"usage: provkit {command}")
 
     def test_corrupt_graph_file(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
