@@ -44,7 +44,7 @@ from .model import (
     validate_labels,
 )
 from .pgsim import MODES, TEAMS, SimParams, generate_dataset, simulate_run
-from .provjson import DataFormatError, ProvJsonWarning, load_provjson
+from .provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
 from .storage import load_internal, save_internal
 from .svm import ConvergenceWarning, OvrSvm, smo_solve, svm_predict, svm_train
 from .typeinf import (
@@ -100,6 +100,7 @@ __all__ = [
     "infer_types",
     "is_extension",
     "kernel_value",
+    "load_family",
     "load_internal",
     "load_provjson",
     "mannwhitney_u",

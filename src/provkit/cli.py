@@ -40,9 +40,9 @@ from .kernel import (
     retrieve_instances,
 )
 from .mlpipe import CvReport, balance_undersample, compare_reports, repeated_kfold
-from .model import Dataset, GraphFamily
+from .model import Dataset, GraphFamily, _gc_paused
 from .pgsim import MODES, SimParams, generate_dataset
-from .provjson import DataFormatError, load_provjson
+from .provjson import DataFormatError, load_family
 from .storage import FORMAT_TAG, MANIFEST_NAME, dataset_texts, load_internal
 from .typeinf import TypeAssignment, dump_types, infer_types
 
@@ -101,17 +101,16 @@ def _load_dataset(path: Path, need_labels: bool = False) -> Dataset:
     if p.is_dir() or p.suffix == ".jsonl" or p.name == MANIFEST_NAME:
         ds = load_internal(p)
     else:
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
-        if isinstance(doc, dict) and doc.get("format") == FORMAT_TAG:
-            ds = load_internal(p)
-        else:
-            g = load_provjson(doc, "application", graph_id=p.stem)
-            ds = Dataset(
-                GraphFamily((g,)), {g.graph_id: "unlabeled"}, {"source": str(p)}
-            )
+        with _gc_paused():
+            try:
+                doc = json.loads(p.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
+            if isinstance(doc, dict) and doc.get("format") == FORMAT_TAG:
+                ds = load_internal(p)
+            else:
+                family = load_family(doc, "application", graph_id=p.stem)
+                ds = Dataset(family, {p.stem: "unlabeled"}, {"source": str(p)})
     if need_labels and len(set(ds.class_labels.values())) < 2:
         raise DataFormatError(
             "cross-validation needs a dataset with at least two class labels"

@@ -9,8 +9,10 @@ such as ``"mimic:Patient"`` contributed by ``prov:type`` attributes).
 
 from __future__ import annotations
 
+import gc
 from array import array
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
@@ -48,6 +50,24 @@ _EDGE_CODE = {lab: code for code, lab in enumerate(EDGE_LABEL_ORDER)}
 
 class DataFormatError(ValueError):
     """Malformed input data: bad JSON, missing fields, broken references."""
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Run the body with cyclic garbage collection off, then restore the
+    caller's setting.
+
+    For ingest, which decodes and builds without making reference cycles:
+    reference counting frees everything it drops, and the collections that
+    its many new containers would trigger only walk live data.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def generic_part(labels: frozenset[str]) -> frozenset[str]:
@@ -98,22 +118,6 @@ class ProvGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def strip_application_labels(self) -> "ProvGraph":
-        """A copy of the graph keeping only generic node labels.
-
-        Raises ``ValueError`` if some node would end up with no label at all,
-        since every node of a well-formed graph carries at least one.
-        """
-        stripped = {}
-        for nid, labels in self.nodes.items():
-            gen = generic_part(labels)
-            if not gen:
-                raise ValueError(
-                    f"node {nid!r} has no generic label; cannot strip to generic mode"
-                )
-            stripped[nid] = gen
-        return ProvGraph(self.graph_id, stripped, self.edges)
 
 
 @dataclass(frozen=True, eq=False, init=False)

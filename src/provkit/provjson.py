@@ -1,7 +1,11 @@
 """PROV-JSON ingestion.
 
 Maps the three node sections (``entity``, ``activity``, ``agent``) and the
-twelve supported binary relations onto a :class:`~provkit.model.ProvGraph`.
+twelve supported binary relations of one document onto a one-graph
+:class:`~provkit.model.GraphFamily`, straight into its columns: each node's
+label set is collected from its records, each relation section's endpoints
+are read as two whole columns, and the family build validates and numbers
+them.  No :class:`~provkit.model.ProvGraph` is built on the way.
 An identifier may hold one record or, as the W3C PROV-JSON submission
 allows, an array of records: a node takes the union of their labels and a
 relation yields one edge per record.
@@ -14,10 +18,11 @@ from __future__ import annotations
 
 import json
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
-from .model import EDGE_KINDS, DataFormatError, ProvGraph
+from .model import EDGE_KINDS, DataFormatError, GraphFamily, ProvGraph, _gc_paused
 
 
 class ProvJsonWarning(UserWarning):
@@ -62,12 +67,12 @@ def _type_strings(value: Any, nid: str) -> list[str]:
     raise DataFormatError(f"node {nid!r}: prov:type value {value!r} is not a string")
 
 
-def load_provjson(
+def load_family(
     source: str | Path | dict,
     label_mode: str = "application",
     graph_id: str | None = None,
-) -> ProvGraph:
-    """Load one PROV-JSON document as a provenance graph.
+) -> GraphFamily:
+    """Load one PROV-JSON document as a one-graph family.
 
     ``source`` may be a path to a JSON file or an already-parsed document
     dict.  ``label_mode`` selects ``"generic"`` (node kinds only) or
@@ -77,80 +82,112 @@ def load_provjson(
     """
     if label_mode not in ("generic", "application"):
         raise ValueError(f"unknown label mode {label_mode!r}")
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if graph_id is None:
-            graph_id = path.stem
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-    else:
-        doc = source
-        if graph_id is None:
-            graph_id = "document"
-    if not isinstance(doc, dict):
-        raise DataFormatError("PROV-JSON document must be a JSON object")
+    with _gc_paused():
+        if isinstance(source, (str, Path)):
+            path = Path(source)
+            if graph_id is None:
+                graph_id = path.stem
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        else:
+            doc = source
+            if graph_id is None:
+                graph_id = "document"
+        if not isinstance(doc, dict):
+            raise DataFormatError("PROV-JSON document must be a JSON object")
 
-    nodes: dict[str, set[str]] = {}
-    skipped: list[str] = []
+        nodes: dict[str, set[str]] = {}
+        for section, kind in _NODE_SECTIONS.items():
+            members = doc.get(section, {})
+            if not isinstance(members, dict):
+                raise DataFormatError(f"section {section!r} must be an object")
+            for nid, entry in members.items():
+                labels = nodes.setdefault(nid, set())
+                labels.add(kind)
+                for attrs in entry if isinstance(entry, list) else [entry]:
+                    if isinstance(attrs, dict) and "prov:type" in attrs:
+                        app = _type_strings(attrs["prov:type"], nid)
+                        if label_mode == "application":
+                            labels.update(app)
 
-    for section, kind in _NODE_SECTIONS.items():
-        members = doc.get(section, {})
-        if not isinstance(members, dict):
-            raise DataFormatError(f"section {section!r} must be an object")
-        for nid, entry in members.items():
-            labels = nodes.setdefault(nid, set())
-            labels.add(kind)
-            for attrs in entry if isinstance(entry, list) else [entry]:
-                if isinstance(attrs, dict) and "prov:type" in attrs:
-                    app = _type_strings(attrs["prov:type"], nid)
-                    if label_mode == "application":
-                        labels.update(app)
+        # Edge columns, one relation section at a time in document order.
+        srcs: list[str] = []
+        dsts: list[str] = []
+        edge_labels: list[str] = []
+        skipped: list[str] = []
+        for section, members in doc.items():
+            if section in _NODE_SECTIONS or section in _IGNORABLE:
+                continue
+            if section not in _RELATIONS:
+                skipped.append(section)
+                continue
+            label, src_field, dst_field = _RELATIONS[section]
+            if not isinstance(members, dict):
+                raise DataFormatError(f"relation section {section!r} must be an object")
+            section_srcs, section_dsts = _endpoints(section, members, src_field, dst_field)
+            if not all(map(nodes.__contains__, chain(section_srcs, section_dsts))):
+                # Declare each missing endpoint where it is first referenced.
+                for pair in zip(section_srcs, section_dsts):
+                    for endpoint, kind in zip(pair, EDGE_KINDS[label]):
+                        if endpoint not in nodes:
+                            nodes[endpoint] = {kind}
+                            warnings.warn(
+                                f"{graph_id}: auto-declared {endpoint!r} as {kind!r} "
+                                f"(referenced by {section})",
+                                ProvJsonWarning,
+                                stacklevel=2,
+                            )
+            srcs += section_srcs
+            dsts += section_dsts
+            edge_labels += repeat(label, len(section_srcs))
 
-    edges: list[tuple[str, str, str]] = []
-    for section, members in doc.items():
-        if section in _NODE_SECTIONS or section in _IGNORABLE:
-            continue
-        if section not in _RELATIONS:
-            skipped.append(section)
-            continue
-        label, src_field, dst_field = _RELATIONS[section]
-        if not isinstance(members, dict):
-            raise DataFormatError(f"relation section {section!r} must be an object")
-        for rid, entry in members.items():
-            for rec in entry if isinstance(entry, list) else [entry]:
-                if not isinstance(rec, dict):
-                    raise DataFormatError(f"relation {rid!r} in {section!r} must be an object")
-                src = rec.get(src_field)
-                dst = rec.get(dst_field)
-                if not isinstance(src, str) or not isinstance(dst, str):
-                    raise DataFormatError(
-                        f"relation {rid!r} in {section!r} needs string ids "
-                        f"{src_field!r}/{dst_field!r}"
-                    )
-                for endpoint, column in ((src, 0), (dst, 1)):
-                    if endpoint not in nodes:
-                        kind = EDGE_KINDS[label][column]
-                        nodes[endpoint] = {kind}
-                        warnings.warn(
-                            f"{graph_id}: auto-declared {endpoint!r} as {kind!r} "
-                            f"(referenced by {section})",
-                            ProvJsonWarning,
-                            stacklevel=2,
-                        )
-                edges.append((src, dst, label))
+        if skipped:
+            warnings.warn(
+                f"{graph_id}: skipped unsupported sections: {sorted(set(skipped))}",
+                ProvJsonWarning,
+                stacklevel=2,
+            )
+        if not nodes:
+            raise DataFormatError("document declares no nodes")
+        return GraphFamily.from_records([(graph_id, nodes.items(), list(zip(srcs, dsts, edge_labels)))])
 
-    if skipped:
-        warnings.warn(
-            f"{graph_id}: skipped unsupported sections: {sorted(set(skipped))}",
-            ProvJsonWarning,
-            stacklevel=2,
-        )
-    if not nodes:
-        raise DataFormatError("document declares no nodes")
 
-    try:
-        return ProvGraph(graph_id, {k: frozenset(v) for k, v in nodes.items()}, tuple(edges))
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
+def _endpoints(section: str, members: dict, src_field: str, dst_field: str) -> tuple[list, list]:
+    """The source and destination columns of one relation section, one
+    entry per record in document order, all strings."""
+    records = list(members.values())
+    if not set(map(type, records)) <= {dict}:
+        records = [rec for entry in records for rec in (entry if isinstance(entry, list) else [entry])]
+    # JSON decodes to exact types, so comparing types checks every record at once.
+    if set(map(type, records)) <= {dict}:
+        srcs = list(map(dict.get, records, repeat(src_field)))
+        dsts = list(map(dict.get, records, repeat(dst_field)))
+        if set(map(type, srcs)).union(map(type, dsts)) <= {str}:
+            return srcs, dsts
+    # Some record is not an exact JSON object with string endpoints: scan the
+    # records one by one, so that the first bad one in document order is named.
+    srcs, dsts = [], []
+    for rid, entry in members.items():
+        for rec in entry if isinstance(entry, list) else [entry]:
+            if not isinstance(rec, dict):
+                raise DataFormatError(f"relation {rid!r} in {section!r} must be an object")
+            srcs.append(rec.get(src_field))
+            dsts.append(rec.get(dst_field))
+            if not isinstance(srcs[-1], str) or not isinstance(dsts[-1], str):
+                raise DataFormatError(
+                    f"relation {rid!r} in {section!r} needs string ids "
+                    f"{src_field!r}/{dst_field!r}"
+                )
+    return srcs, dsts
+
+
+def load_provjson(
+    source: str | Path | dict,
+    label_mode: str = "application",
+    graph_id: str | None = None,
+) -> ProvGraph:
+    """Load one PROV-JSON document as a provenance graph: the one graph of
+    :func:`load_family`, which takes the same arguments."""
+    return load_family(source, label_mode, graph_id).graphs[0]

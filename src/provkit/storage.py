@@ -18,7 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
-from .model import EDGE_LABEL_ORDER, DataFormatError, Dataset, GraphFamily
+from .model import EDGE_LABEL_ORDER, DataFormatError, Dataset, GraphFamily, _gc_paused
 
 MANIFEST_NAME = "manifest.json"
 GRAPHS_NAME = "graphs.jsonl"
@@ -121,11 +121,12 @@ def load_internal(path: str | Path) -> Dataset:
         if manifest.get("format") != FORMAT_TAG:
             raise DataFormatError(f"{p}: unrecognized manifest format {manifest.get('format')!r}")
     labels: dict[str, str] = {}
-    family = GraphFamily.from_records(
-        record
-        for name in manifest.get("files", [])
-        for record in _read_graph_file(p.parent / name, labels)
-    )
+    with _gc_paused():
+        family = GraphFamily.from_records(
+            record
+            for name in manifest.get("files", [])
+            for record in _read_graph_file(p.parent / name, labels)
+        )
     declared = manifest.get("class_labels", {})
     if declared and declared != labels:
         raise DataFormatError(f"{p}: manifest class labels disagree with graph records")

@@ -388,3 +388,36 @@ def test_pipeline_never_builds_per_node_dicts(sim_dir, tmp_path, monkeypatch):
                "--distance-to", "FG2_0", "--out", tmp_path / "d.json") == 0
     blob = json.loads((tmp_path / "e.json").read_text(encoding="utf-8"))
     assert blob["instances"]
+
+
+def test_provjson_pipeline_never_builds_a_graph(tmp_path, monkeypatch):
+    doc = {
+        "entity": {"e1": {"prov:type": "x:A"}, "e2": {}},
+        "activity": {"a1": {}},
+        "agent": {"ag1": {}},
+        "wasGeneratedBy": {"_:g1": {"prov:entity": "e1", "prov:activity": "a1"}},
+        "used": {"_:u1": {"prov:activity": "a1", "prov:entity": "e2"}},
+        "wasAssociatedWith": {"_:w1": {"prov:activity": "a1", "prov:agent": "ag1"}},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def refuse_graph(self):
+        raise AssertionError("ProvGraph built")
+
+    def refuse_views(self):
+        raise AssertionError("ProvGraph views of the family built")
+
+    monkeypatch.setattr(ProvGraph, "__post_init__", refuse_graph)
+    monkeypatch.setattr(GraphFamily, "graphs", property(refuse_views))
+    for method in ("A5", "G3"):
+        assert run("types", "--data", path, "--method", method,
+                   "--out", tmp_path / f"{method}.jsonl") == 0
+    assert run("explain", "--data", path, "--feature", "FA1_0",
+               "--out", tmp_path / "e.json") == 0
+    assert run("explain", "--data", path, "--feature", "FA1_0",
+               "--distance-to", "FA1_1", "--out", tmp_path / "d.json") == 0
+    blob = json.loads((tmp_path / "e.json").read_text(encoding="utf-8"))
+    assert blob["instances"]
+    records = [json.loads(line) for line in (tmp_path / "A5.jsonl").read_text().splitlines()]
+    assert {r["node"] for r in records} == {"e1", "e2", "a1", "ag1"}

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_family, random_graph
+from conftest import generic_graph, random_family, random_graph
 from provkit.cli import main
 from provkit.fixtures import admission_fixture
 from provkit.model import (
+    EDGE_KINDS,
     EDGE_LABELS,
     Dataset,
     GraphFamily,
@@ -21,7 +24,7 @@ from provkit.model import (
     graph_summary,
     validate_labels,
 )
-from provkit.provjson import DataFormatError, ProvJsonWarning, load_provjson
+from provkit.provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
 from provkit.storage import dataset_texts, load_internal, save_internal
 
 
@@ -55,7 +58,7 @@ class TestProvGraph:
     def test_strip_requires_generic_label(self):
         graph = g({"a": {"app:only"}}, [])
         with pytest.raises(ValueError):
-            graph.strip_application_labels()
+            generic_graph(graph)
 
 
 class TestValidate:
@@ -424,3 +427,167 @@ def test_views_equal_validated_graphs(seed, count):
         # Views share the family's label sets instead of copying them.
         assert all(any(labels is s for s in family.label_sets) for labels in view.nodes.values())
     assert GraphFamily(family.graphs) == family
+
+
+#: Edge label -> PROV-JSON relation section, source field, destination field.
+PROV_RELATIONS = {
+    "der": ("wasDerivedFrom", "prov:generatedEntity", "prov:usedEntity"),
+    "spe": ("specializationOf", "prov:specificEntity", "prov:generalEntity"),
+    "alt": ("alternateOf", "prov:alternate1", "prov:alternate2"),
+    "wib": ("wasInvalidatedBy", "prov:entity", "prov:activity"),
+    "gen": ("wasGeneratedBy", "prov:entity", "prov:activity"),
+    "use": ("used", "prov:activity", "prov:entity"),
+    "wat": ("wasAttributedTo", "prov:entity", "prov:agent"),
+    "waw": ("wasAssociatedWith", "prov:activity", "prov:agent"),
+    "abo": ("actedOnBehalfOf", "prov:delegate", "prov:responsible"),
+    "wsb": ("wasStartedBy", "prov:activity", "prov:trigger"),
+    "web": ("wasEndedBy", "prov:activity", "prov:trigger"),
+    "wifb": ("wasInformedBy", "prov:informed", "prov:informant"),
+}
+SECTION_LABEL = {section: lab for lab, (section, _, _) in PROV_RELATIONS.items()}
+PROV_SECTIONS = {"ent": "entity", "act": "activity", "ag": "agent"}
+
+
+@st.composite
+def prov_documents(draw):
+    """A random graph rendered as a PROV-JSON document, with the graph each
+    label mode should load and the warnings the loader should give.
+
+    ``prov:type`` comes as a string, a list or a ``{"$": ...}`` object; node
+    and relation ids sometimes hold arrays of records; some endpoints are
+    never declared; a node may be declared in two sections; unknown and
+    ``prefix`` sections appear anywhere in the document.
+    """
+    ids = draw(st.lists(
+        st.integers(0, 12).map(lambda i: f"n{i}") | st.text(ID_CHARS, min_size=1, max_size=3),
+        min_size=1, max_size=8, unique=True,
+    ))
+    kinds = {nid: draw(st.sets(st.sampled_from(sorted(PROV_SECTIONS)), min_size=1, max_size=2))
+             for nid in ids}
+    apps = {nid: draw(st.lists(st.sampled_from(["x:A", 'x:"q"', "x:é", ""]), max_size=3))
+            for nid in ids}
+    declared = [ids[0]] + [nid for nid in ids[1:] if draw(st.booleans())]
+
+    def prov_type(labels):
+        if len(labels) == 1 and draw(st.booleans()):
+            return labels[0] if draw(st.booleans()) else {"$": labels[0], "type": "prov:QUALIFIED_NAME"}
+        return [lab if draw(st.booleans()) else {"$": lab} for lab in labels]
+
+    sections: dict[str, dict] = {}
+    for nid in declared:
+        first, *rest = draw(st.permutations(sorted(kinds[nid])))
+        cut = draw(st.integers(0, len(apps[nid])))
+        records = [{"prov:type": prov_type(part)}
+                   for part in (apps[nid][:cut], apps[nid][cut:]) if part]
+        entry = records[0] if len(records) == 1 and draw(st.booleans()) else records
+        if not records and draw(st.booleans()):
+            entry = {"prov:label": "no type"}
+        sections.setdefault(PROV_SECTIONS[first], {})[nid] = entry
+        for kind in rest:
+            sections.setdefault(PROV_SECTIONS[kind], {})[nid] = {}
+    edges = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(sorted(PROV_RELATIONS)),
+    ), max_size=12))
+    for i, (src, dst, lab) in enumerate(edges):
+        section, src_field, dst_field = PROV_RELATIONS[lab]
+        members = sections.setdefault(section, {})
+        record = {src_field: src, dst_field: dst, "prov:role": "x:r"}
+        last = next(reversed(members), None)
+        if last is not None and draw(st.booleans()):  # an array under one relation id
+            members[last] = (members[last] if isinstance(members[last], list) else [members[last]])
+            members[last].append(record)
+        else:
+            members[f"_:r{i}"] = record
+    unknown = draw(st.sampled_from([[], ["bundle"], ["x:custom", "bundle"]]))
+    for name in unknown:
+        sections[name] = {"b1": {}}
+    if draw(st.booleans()):
+        sections["prefix"] = {"x": "http://example.org/"}
+    doc = json.loads(json.dumps(dict(draw(st.permutations(list(sections.items()))))))
+
+    # Undeclared endpoints take the kind of their first reference in document order.
+    nodes = {nid: set(kinds[nid]) for nid in declared}
+    expected_warnings = []
+    for section, members in doc.items():
+        if section not in SECTION_LABEL:
+            continue
+        lab = SECTION_LABEL[section]
+        _, src_field, dst_field = PROV_RELATIONS[lab]
+        for entry in members.values():
+            for rec in entry if isinstance(entry, list) else [entry]:
+                for endpoint, kind in zip((rec[src_field], rec[dst_field]), EDGE_KINDS[lab]):
+                    if endpoint not in nodes:
+                        nodes[endpoint] = {kind}
+                        expected_warnings.append(
+                            f"d: auto-declared {endpoint!r} as {kind!r} (referenced by {section})")
+    if unknown:
+        expected_warnings.append(f"d: skipped unsupported sections: {sorted(unknown)}")
+    generic = ProvGraph("d", {nid: frozenset(labels) for nid, labels in nodes.items()}, tuple(edges))
+    application = ProvGraph("d", {
+        nid: frozenset(labels | set(filter(None, apps[nid])) if nid in declared else labels)
+        for nid, labels in nodes.items()
+    }, tuple(edges))
+    return doc, {"generic": generic, "application": application}, expected_warnings
+
+
+@given(prov_documents())
+@settings(max_examples=80, deadline=None)
+def test_provjson_loads_to_the_rendered_graph(case):
+    doc, expected, expected_warnings = case
+    for mode, graph in expected.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            family = load_family(doc, mode, graph_id="d")
+        assert [str(w.message) for w in caught if w.category is ProvJsonWarning] == expected_warnings
+        assert family == GraphFamily((graph,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ProvJsonWarning)
+            assert load_provjson(doc, mode, graph_id="d") == graph
+        ds = Dataset(family, {"d": "c"}, {"source": "doc.json"})
+        with tempfile.TemporaryDirectory() as tmp:
+            save_internal(ds, Path(tmp) / "ds")
+            assert load_internal(Path(tmp) / "ds") == ds
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_ingest_restores_the_callers_gc_state(tmp_path, enabled):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{nope", encoding="utf-8")
+    good_doc = {"entity": {"e1": {}}, "used": {"_:u1": {"prov:activity": "a1", "prov:entity": "e1"}}}
+    bad_endpoint = {"entity": {"e1": {}}, "used": {"_:u1": {"prov:activity": 5, "prov:entity": "e1"}}}
+    save_internal(Dataset(GraphFamily((g({"a": {"ent"}}, []),)), {"g": "c"}), tmp_path / "ds")
+    bad_record = tmp_path / "bad.jsonl"
+    bad_record.write_text('{"id": "g", "label": "c"}\n', encoding="utf-8")
+    bad_line = tmp_path / "line.jsonl"
+    bad_line.write_text("{nope\n", encoding="utf-8")
+
+    good_json = tmp_path / "good.json"
+    good_json.write_text(json.dumps(good_doc), encoding="utf-8")
+
+    def cli_types():
+        assert main(["types", "--data", str(good_json), "--out", str(tmp_path / "t.jsonl")]) == 0
+        assert main(["types", "--data", str(bad_json)]) == 3
+
+    loads = [
+        (lambda: load_family(good_doc, graph_id="d"), None),
+        (lambda: load_family(bad_json), DataFormatError),
+        (lambda: load_family(bad_endpoint, graph_id="d"), DataFormatError),
+        (lambda: load_internal(tmp_path / "ds"), None),
+        (lambda: load_internal(bad_record), DataFormatError),
+        (lambda: load_internal(bad_line), DataFormatError),
+        (cli_types, None),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for load, error in loads:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ProvJsonWarning)
+                if error is None:
+                    load()
+                else:
+                    with pytest.raises(error):
+                        load()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import generic_graph, random_graph
 from provkit.fixtures import admission_fixture
 from provkit.kernel import build_universe, featurize
 from provkit.model import GraphFamily, ProvGraph
@@ -37,7 +37,7 @@ class TestAdmissionFixtureGolden:
 
     def setup_method(self):
         self.graph = admission_fixture()
-        self.generic = self.graph.strip_application_labels()
+        self.generic = generic_graph(self.graph)
 
     def test_two_step_walks_of_final_state(self):
         got = enumerate_label_walks(self.generic, "patient7_3", 2)
@@ -129,7 +129,7 @@ class TestExtension:
 
 
 def oracle_assignment(graph, h, label_mode):
-    g = graph.strip_application_labels() if label_mode == "generic" else graph
+    g = generic_graph(graph) if label_mode == "generic" else graph
     out = {}
     for nid in g.nodes:
         out[nid] = tuple(
