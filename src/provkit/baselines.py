@@ -8,7 +8,8 @@ node's new color is the rank of its row ``[previous color, sorted successor
 colors]`` among the rows of the nodes of equal out-degree, so refinement is
 exact for any degree and needs no hashing.  Gram matrices are exact integer
 dot products of per-graph color counts, summed over iterations ``0..h``,
-and share the typed kernel's overflow refusal and normalization.
+and share the typed kernel's counting, overflow refusal and
+normalization.
 ``wl_colorings`` keeps the per-node dictionary refinement as an independent
 oracle.
 """
@@ -17,14 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import GramMatrix, _count_gram
+from .kernel import GramMatrix, _count_gram, _counts
 from .model import EDGE_LABEL_ORDER, GraphFamily
-
-
-def _counts(owner: np.ndarray, codes: np.ndarray, n_rows: int, width: int) -> np.ndarray:
-    """int64 (rows x width) matrix counting each item's code in its row."""
-    flat = np.bincount(owner * width + codes, minlength=n_rows * width)
-    return flat.reshape(n_rows, width)
 
 
 def vh_gram(family: GraphFamily, label_mode: str = "application", normalize: bool = False) -> GramMatrix:

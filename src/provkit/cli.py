@@ -6,6 +6,8 @@ Subcommands cover the full path from raw graphs to evaluation artifacts:
 ``xval`` runs repeated k-fold cross-validation, ``compare`` applies the
 rank-sum test to two CV reports, and ``explain`` resolves feature names
 back to type definitions and graph instances.
+Handlers leave input kinds, bad-JSON errors, defaults of flags left out and
+label-mode letters to the library.
 
 Outputs are staged to temporary files and renamed into place after the
 command succeeds, so interrupted runs do not leave partial artifacts.
@@ -28,6 +30,7 @@ import numpy as np
 
 from .baselines import eh_gram, vh_gram, wl_gram
 from .kernel import (
+    LABEL_MODES,
     GramMatrix,
     TypeUniverse,
     build_universe,
@@ -40,10 +43,9 @@ from .kernel import (
     retrieve_instances,
 )
 from .mlpipe import CvReport, balance_undersample, compare_reports, repeated_kfold
-from .model import Dataset, GraphFamily, _gc_paused
+from .model import DataFormatError, GraphFamily, read_json
 from .pgsim import MODES, SimParams, generate_dataset
-from .provjson import DataFormatError, load_family
-from .storage import FORMAT_TAG, MANIFEST_NAME, dataset_texts, load_internal
+from .storage import dataset_texts, load_dataset
 from .typeinf import TypeAssignment, dump_types, infer_types
 
 EXIT_OK = 0
@@ -51,8 +53,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_LABEL_CANON = {"app": "application", "generic": "generic"}
-_METHOD_RE = re.compile(r"([AGag])([0-5])")
+_METHOD_RE = re.compile(r"([A-Za-z])([0-5])")
 _SIM_FIELDS = frozenset(f.name for f in fields(SimParams))
 #: Characters encoded per write when staging an artifact (1 MiB).
 _WRITE_CHARS = 1 << 20
@@ -94,42 +95,25 @@ class _ArtifactSink:
         self._staged.clear()
 
 
-def _load_dataset(path: Path, need_labels: bool = False) -> Dataset:
-    p = Path(path)
-    if not p.exists():
-        raise DataFormatError(f"no such input: {p}")
-    if p.is_dir() or p.suffix == ".jsonl" or p.name == MANIFEST_NAME:
-        ds = load_internal(p)
-    else:
-        with _gc_paused():
-            try:
-                doc = json.loads(p.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
-            if isinstance(doc, dict) and doc.get("format") == FORMAT_TAG:
-                ds = load_internal(p)
-            else:
-                family = load_family(doc, "application", graph_id=p.stem)
-                ds = Dataset(family, {p.stem: "unlabeled"}, {"source": str(p)})
-    if need_labels and len(set(ds.class_labels.values())) < 2:
-        raise DataFormatError(
-            "cross-validation needs a dataset with at least two class labels"
-        )
-    return ds
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among ``names`` that were given; the library defaults the rest."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _build_gram(family: GraphFamily, args: argparse.Namespace) -> GramMatrix:
+def _build_gram(family: GraphFamily, args: argparse.Namespace) -> tuple[GramMatrix, float]:
+    """The Gram matrix that ``args`` asks for, and the seconds it took."""
+    t0 = time.perf_counter()
     if args.kernel == "pk":
         assign = infer_types(family, args.h, args.label_mode)
         fm = featurize(assign, build_universe(assign))
-        return gram(fm, args.h, normalize=args.normalize)
-    if args.kernel == "vh":
-        return vh_gram(family, args.label_mode, normalize=args.normalize)
-    if args.kernel == "eh":
-        return eh_gram(family, normalize=args.normalize)
-    if args.kernel == "wl":
-        return wl_gram(family, args.h, args.label_mode, normalize=args.normalize)
-    raise ValueError(f"unknown kernel {args.kernel!r}")
+        gm = gram(fm, args.h, normalize=args.normalize)
+    elif args.kernel == "vh":
+        gm = vh_gram(family, args.label_mode, normalize=args.normalize)
+    elif args.kernel == "eh":
+        gm = eh_gram(family, normalize=args.normalize)
+    else:
+        gm = wl_gram(family, args.h, args.label_mode, normalize=args.normalize)
+    return gm, time.perf_counter() - t0
 
 
 def _emit(args: argparse.Namespace, sink: _ArtifactSink, text: str) -> None:
@@ -144,13 +128,13 @@ def _json_text(blob: dict) -> str:
 
 
 def cmd_types(args: argparse.Namespace, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(args.data)
+    ds = load_dataset(args.data)
     assign = infer_types(ds.family, args.h, args.label_mode)
     _emit(args, sink, dump_types(assign))
 
 
 def cmd_featurize(args: argparse.Namespace, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(args.data)
+    ds = load_dataset(args.data)
     assign = infer_types(ds.family, args.h, args.label_mode)
     fm = featurize(assign, build_universe(assign))
     csv_text, sidecar = features_to_csv(fm)
@@ -159,10 +143,8 @@ def cmd_featurize(args: argparse.Namespace, sink: _ArtifactSink) -> None:
 
 
 def cmd_gram(args: argparse.Namespace, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(args.data)
-    t0 = time.perf_counter()
-    gm = _build_gram(ds.family, args)
-    elapsed = time.perf_counter() - t0
+    ds = load_dataset(args.data)
+    gm, elapsed = _build_gram(ds.family, args)
     sink.stage_text(args.out, gram_to_csv(gm))
     timing = {
         "featurize_seconds": elapsed,
@@ -182,37 +164,28 @@ def cmd_simulate(args: argparse.Namespace, sink: _ArtifactSink) -> None:
 
 
 def cmd_xval(args: argparse.Namespace, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(args.data, need_labels=True)
+    ds = load_dataset(args.data)
+    if len(set(ds.class_labels.values())) < 2:
+        raise DataFormatError("cross-validation needs a dataset with at least two class labels")
     if args.balance:
-        ds = balance_undersample(ds, args.seed)
-    t0 = time.perf_counter()
-    gm = _build_gram(ds.family, args)
-    elapsed = time.perf_counter() - t0
+        ds = balance_undersample(ds, **_given(args, "seed"))
+    gm, elapsed = _build_gram(ds.family, args)
     labels = np.array(ds.labels_in_family_order())
     report = repeated_kfold(
         gm.values,
         labels,
-        k=args.k,
-        repeats=args.repeats,
-        C=args.C,
-        seed=args.seed,
         featurize_seconds=elapsed,
+        **_given(args, "k", "repeats", "C", "seed"),
     )
     _emit(args, sink, _json_text(report.to_jsonable()))
 
 
 def _read_report(path: Path) -> CvReport:
-    p = Path(path)
-    if not p.exists():
-        raise DataFormatError(f"no such report: {p}")
-    try:
-        blob = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
+    blob = read_json(path)
     try:
         return CvReport.from_jsonable(blob)
     except ValueError as exc:
-        raise DataFormatError(f"{p}: {exc}") from exc
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def cmd_compare(args: argparse.Namespace, sink: _ArtifactSink) -> None:
@@ -220,12 +193,12 @@ def cmd_compare(args: argparse.Namespace, sink: _ArtifactSink) -> None:
     b = _read_report(args.report_b)
     name_a = args.name_a or args.report_a.stem
     name_b = args.name_b or args.report_b.stem
-    result = compare_reports(a, b, name_a, name_b, alpha=args.alpha)
+    result = compare_reports(a, b, name_a, name_b, **_given(args, "alpha"))
     _emit(args, sink, _json_text(result))
 
 
 def cmd_explain(args: argparse.Namespace, sink: _ArtifactSink) -> None:
-    ds = _load_dataset(args.data)
+    ds = load_dataset(args.data)
     wanted = [args.feature] + ([args.distance_to] if args.distance_to else [])
     assigns: dict[str, TypeAssignment] = {}
     universes: dict[str, TypeUniverse] = {}
@@ -344,10 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_method(p)
     add_kernel(p)
     add_threads(p)
-    p.add_argument("--C", type=float, default=1.0, dest="C")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    # Left out when not given: repeated_kfold and balance_undersample hold the defaults.
+    p.add_argument("--C", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--repeats", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument(
         "--balance",
         action="store_true",
@@ -360,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report_b", type=Path)
     p.add_argument("--name-a", help="method name for the first report")
     p.add_argument("--name-b", help="method name for the second report")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", type=Path, help="verdict JSON path (default: stdout)")
 
     p = sub.add_parser(
@@ -385,14 +359,13 @@ def _resolve_method(parser, args) -> tuple[str, int]:
         if args.labels is not None or args.h is not None:
             parser.error("--method replaces --labels/--h; give one or the other")
         m = _METHOD_RE.fullmatch(args.method)
-        if not m:
+        if not m or m.group(1).upper() not in LABEL_MODES:
             parser.error(
                 f"unrecognized method id {args.method!r} (expected G0..G5 or A0..A5)"
             )
-        mode = "application" if m.group(1).upper() == "A" else "generic"
-        return mode, int(m.group(2))
-    mode = _LABEL_CANON[args.labels] if args.labels else "application"
-    return mode, 3 if args.h is None else args.h
+        return LABEL_MODES[m.group(1).upper()], int(m.group(2))
+    # --labels app|generic goes by its initial, as a method id does.
+    return LABEL_MODES[(args.labels or "app")[0].upper()], 3 if args.h is None else args.h
 
 
 def _resolve(parser, args) -> None:

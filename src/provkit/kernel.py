@@ -32,7 +32,11 @@ class StaleUniverseError(KeyError):
     """An assignment mentions a type the universe does not contain."""
 
 
-_NAME_RE = re.compile(r"F([AG])([0-9]+)_([0-9]+)")
+#: Label mode by the letter that names it in feature names (``FA2_0``) and
+#: CLI method ids (``A3``).
+LABEL_MODES = {"A": "application", "G": "generic"}
+_LETTERS = {mode: letter for letter, mode in LABEL_MODES.items()}
+_NAME_RE = re.compile(rf"F([{''.join(LABEL_MODES)}])([0-9]+)_([0-9]+)")
 
 
 def parse_feature_name(name: str) -> tuple[str, int, int]:
@@ -42,8 +46,7 @@ def parse_feature_name(name: str) -> tuple[str, int, int]:
         raise ValueError(
             f"not a feature name: {name!r} (expected FA<depth>_<index> or FG<depth>_<index>)"
         )
-    mode = "application" if m.group(1) == "A" else "generic"
-    return mode, int(m.group(2)), int(m.group(3))
+    return LABEL_MODES[m.group(1)], int(m.group(2)), int(m.group(3))
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,6 @@ class TypeUniverse:
     label_mode: str
     h_max: int
     per_depth: tuple[tuple[PType, ...], ...]
-
-    @property
-    def prefix(self) -> str:
-        return "FA" if self.label_mode == "application" else "FG"
 
     def size(self, depth: int) -> int:
         return len(self.per_depth[depth])
@@ -79,7 +78,7 @@ class TypeUniverse:
             raise ValueError(f"depth {depth} outside 0..{self.h_max}")
         if not 0 <= index < self.size(depth):
             raise ValueError(f"index {index} outside universe at depth {depth}")
-        return f"{self.prefix}{depth}_{index}"
+        return f"F{_LETTERS[self.label_mode]}{depth}_{index}"
 
     def feature_lookup(self, name: str) -> PType:
         mode, depth, index = parse_feature_name(name)
@@ -143,11 +142,10 @@ def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatr
     rows = len(assignment.graph_ids)
     mats = []
     for depth, (level, codes) in enumerate(zip(assignment.types, assignment.codes)):
-        k = universe.size(depth)
         column = np.array([universe.index_of(t) for t in level], dtype=np.int64)
         typed = codes >= 0
-        cells = assignment.family.graph_of[typed] * k + column[codes[typed]]
-        mats.append(np.bincount(cells, minlength=rows * k).reshape(rows, k))
+        owner = assignment.family.graph_of[typed]
+        mats.append(_counts(owner, column[codes[typed]], rows, universe.size(depth)))
     return FeatureMatrix(universe, assignment.graph_ids, tuple(mats))
 
 
@@ -173,6 +171,12 @@ class GramMatrix:
     values: np.ndarray
     h: int
     normalized: bool
+
+
+def _counts(owner: np.ndarray, codes: np.ndarray, n_rows: int, width: int) -> np.ndarray:
+    """int64 (rows x width) matrix counting each item's code in its row."""
+    flat = np.bincount(owner * width + codes, minlength=n_rows * width)
+    return flat.reshape(n_rows, width)
 
 
 def _count_gram(

@@ -106,15 +106,11 @@ def _fold_assignment(
             UserWarning,
             stacklevel=3,
         )
-        perm = rng.permutation(n)
-        for pos, idx in enumerate(perm):
-            folds[idx] = pos % k
+        folds[rng.permutation(n)] = np.arange(n) % k
         return folds
     for cls in sorted(counts):
-        idx = np.flatnonzero(labels == cls)
-        perm = rng.permutation(idx)
-        for pos, g in enumerate(perm):
-            folds[g] = pos % k
+        perm = rng.permutation(np.flatnonzero(labels == cls))
+        folds[perm] = np.arange(len(perm)) % k
     return folds
 
 
@@ -125,7 +121,6 @@ def repeated_kfold(
     repeats: int = 10,
     C: float = 1.0,
     seed: int = 0,
-    tol: float = 1e-3,
     featurize_seconds: float = 0.0,
     threads: int = 1,
 ) -> CvReport:
@@ -150,7 +145,7 @@ def repeated_kfold(
         for f in range(k):
             test = np.flatnonzero(folds == f)
             train = np.flatnonzero(folds != f)
-            model = svm_train(kernel[np.ix_(train, train)], arr[train], C=C, tol=tol)
+            model = svm_train(kernel[np.ix_(train, train)], arr[train], C=C)
             pred = model.predict(kernel[np.ix_(test, train)])
             accuracies.append(float(np.mean(np.array(pred) == arr[test])))
     return CvReport.from_accuracies(accuracies, featurize_seconds)

@@ -10,12 +10,14 @@ such as ``"mimic:Patient"`` contributed by ``prov:type`` attributes).
 from __future__ import annotations
 
 import gc
+import json
 from array import array
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,6 +54,17 @@ class DataFormatError(ValueError):
     """Malformed input data: bad JSON, missing fields, broken references."""
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; a missing file or bad JSON is a DataFormatError."""
+    p = Path(path)
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataFormatError(f"no such file: {p}") from None
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
+
+
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """Run the body with cyclic garbage collection off, then restore the
@@ -70,11 +83,6 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def generic_part(labels: frozenset[str]) -> frozenset[str]:
-    """The generic subset of a node's label set."""
-    return labels & GENERIC_LABELS
-
-
 @dataclass(frozen=True, eq=True)
 class ProvGraph:
     """An immutable labeled directed multigraph.
@@ -83,7 +91,9 @@ class ProvGraph:
     ``(source, destination, label)`` triples.  Parallel edges, duplicate
     triples and cycles are all permitted.  Construction canonicalizes the
     representation (label sets frozen, edges sorted) so that equal graphs
-    compare equal regardless of insertion order.
+    compare equal regardless of insertion order.  The graph id, node ids,
+    labels and edge ends must be strings: nothing is coerced, so ``1`` and
+    ``"1"`` never merge into one node.
     """
 
     graph_id: str
@@ -91,15 +101,21 @@ class ProvGraph:
     edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
-        nodes = {str(k): frozenset(map(str, v)) for k, v in self.nodes.items()}
-        edges = tuple(sorted((str(s), str(d), str(l)) for s, d, l in self.edges))
+        if not all(isinstance(i, str) for i in (self.graph_id, *self.nodes)):
+            raise ValueError(f"graph {self.graph_id!r}: graph and node ids must be strings")
+        try:
+            nodes = {nid: frozenset(labels) for nid, labels in self.nodes.items()}
+        except TypeError:  # an unhashable label
+            raise ValueError("node labels must be strings") from None
         for nid, labels in nodes.items():
-            if not labels or "" in labels:
-                raise ValueError(_label_fault(nid, labels))
+            if fault := _label_fault(nid, labels):
+                raise ValueError(fault)
+        # With string node ids, an edge end that is not a string is undeclared.
+        edges = list(self.edges)
         if fault := _edge_fault(edges, nodes):
             raise ValueError(fault)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(sorted(map(tuple, edges))))
 
     @classmethod
     def _canonical(cls, graph_id: str, nodes: dict[str, frozenset[str]],
@@ -303,7 +319,7 @@ class GraphFamily:
         if label_mode != "generic":
             raise ValueError(f"unknown label mode {label_mode!r}")
         ids: dict[frozenset[str], int] = {}
-        lut = np.array([ids.setdefault(generic_part(s), len(ids)) for s in self.label_sets], np.intc)
+        lut = np.array([ids.setdefault(s & GENERIC_LABELS, len(ids)) for s in self.label_sets], np.intc)
         node_sets = lut[self.node_sets]
         if frozenset() in ids:
             v = int(np.argmax(node_sets == ids[frozenset()]))

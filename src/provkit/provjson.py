@@ -16,13 +16,12 @@ likewise ignored.
 
 from __future__ import annotations
 
-import json
 import warnings
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
-from .model import EDGE_KINDS, DataFormatError, GraphFamily, ProvGraph, _gc_paused
+from .model import EDGE_KINDS, DataFormatError, GraphFamily, ProvGraph, _gc_paused, read_json
 
 
 class ProvJsonWarning(UserWarning):
@@ -84,17 +83,10 @@ def load_family(
         raise ValueError(f"unknown label mode {label_mode!r}")
     with _gc_paused():
         if isinstance(source, (str, Path)):
-            path = Path(source)
-            if graph_id is None:
-                graph_id = path.stem
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+            doc, default_id = read_json(source), Path(source).stem
         else:
-            doc = source
-            if graph_id is None:
-                graph_id = "document"
+            doc, default_id = source, "document"
+        graph_id = default_id if graph_id is None else graph_id
         if not isinstance(doc, dict):
             raise DataFormatError("PROV-JSON document must be a JSON object")
 

@@ -8,6 +8,8 @@ Node entries and label lists are sorted lexicographically on write so that
 writing the same dataset twice yields byte-identical files.  A dataset
 directory pairs the graph file(s) with a ``manifest.json`` recording the file
 list, the class labels and the generation parameters.
+:func:`load_dataset` alone decides whether an input path is such a dataset
+or a PROV-JSON document.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
-from .model import EDGE_LABEL_ORDER, DataFormatError, Dataset, GraphFamily, _gc_paused
+from .model import EDGE_LABEL_ORDER, DataFormatError, Dataset, GraphFamily, _gc_paused, read_json
+from .provjson import load_family
 
 MANIFEST_NAME = "manifest.json"
 GRAPHS_NAME = "graphs.jsonl"
@@ -110,16 +113,32 @@ def load_internal(path: str | Path) -> Dataset:
     p = Path(path)
     if p.is_dir():
         p = p / MANIFEST_NAME
-    if not p.exists():
-        raise DataFormatError(f"no such dataset: {path}")
-    manifest: dict = {"files": [p.name]}
-    if not p.name.endswith(".jsonl"):
-        try:
-            manifest = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
-        if manifest.get("format") != FORMAT_TAG:
-            raise DataFormatError(f"{p}: unrecognized manifest format {manifest.get('format')!r}")
+    if p.name.endswith(".jsonl"):
+        return _from_manifest(p, {"format": FORMAT_TAG, "files": [p.name]})
+    return _from_manifest(p, read_json(p))
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """A saved dataset as :func:`load_internal` reads it, or else a PROV-JSON
+    document as a one-graph dataset named after the file stem and labelled
+    ``"unlabeled"``.  Any file but a ``manifest.json`` or ``.jsonl`` is
+    decoded once, and is a manifest only if it carries the format tag."""
+    p = Path(path)
+    if p.is_dir() or p.name.endswith(".jsonl") or p.name == MANIFEST_NAME:
+        return load_internal(p)
+    with _gc_paused():
+        doc = read_json(p)
+        if not (isinstance(doc, dict) and doc.get("format") == FORMAT_TAG):
+            family = load_family(doc, "application", graph_id=p.stem)
+            return Dataset(family, {p.stem: "unlabeled"}, {"source": str(p)})
+    return _from_manifest(p, doc)
+
+
+def _from_manifest(p: Path, manifest) -> Dataset:
+    """The dataset that the decoded manifest at ``p`` lists."""
+    tag = manifest.get("format") if isinstance(manifest, dict) else None
+    if tag != FORMAT_TAG:
+        raise DataFormatError(f"{p}: unrecognized manifest format {tag!r}")
     labels: dict[str, str] = {}
     with _gc_paused():
         family = GraphFamily.from_records(

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import provkit
-from provkit.cli import main
+from conftest import random_family
+from provkit.cli import build_parser, main
+from provkit.mlpipe import balance_undersample, compare_reports, repeated_kfold
 from provkit.model import Dataset, GraphFamily, ProvGraph
 from provkit.pgsim import SimParams
+from provkit.provjson import ProvJsonWarning
 from provkit.storage import MANIFEST_NAME, load_internal, save_internal
 
 
@@ -99,6 +106,16 @@ class TestTypes:
         out = tmp_path / "types.jsonl"
         assert run("types", "--data", sim_dir, "--h", 1, "--out", out) == 0
         assert out.read_text(encoding="utf-8") == streamed
+
+    def test_label_flags_and_method_letters_agree(self, sim_dir, capsys):
+        dumps = {}
+        for flags in (("--labels", "app", "--h", 2), ("--method", "A2"), ("--method", "a2"),
+                      ("--h", 2), ("--labels", "generic", "--h", 2), ("--method", "G2")):
+            assert run("types", "--data", sim_dir, *flags) == 0
+            dumps[flags] = capsys.readouterr().out
+        assert len(set(dumps.values())) == 2
+        assert dumps[("--method", "A2")] == dumps[("--labels", "app", "--h", 2)] == dumps[("--h", 2)]
+        assert dumps[("--method", "G2")] == dumps[("--labels", "generic", "--h", 2)]
 
     def test_provjson_document_ingests(self, tmp_path, capsys):
         doc = {
@@ -208,6 +225,25 @@ class TestXval:
         data = two_class_dataset(tmp_path / "ds", n_a=6, n_b=0)
         assert run("xval", "--data", data, "--h", 0) == 3
 
+    @pytest.mark.parametrize("balance", [(), ("--balance",)], ids=["plain", "balanced"])
+    def test_report_same_with_library_defaults_spelled_out(self, tmp_path, balance):
+        family = random_family(random.Random(4), 44, max_nodes=8, max_edges=14)
+        labels = {gid: "b" if i % 2 or i < 8 else "a" for i, gid in enumerate(family.graph_ids)}
+        save_internal(Dataset(family, labels), tmp_path / "ds")
+
+        def report(*flags):
+            out = tmp_path / "report.json"
+            assert run("xval", "--data", tmp_path / "ds", "--method", "A1", *balance,
+                       *flags, "--out", out) == 0
+            blob = json.loads(out.read_text(encoding="utf-8"))
+            blob.pop("featurize_seconds")
+            return blob
+
+        spelled = ("--C", 1.0, "--k", 10, "--repeats", 10, "--seed", 0)
+        assert report() == report(*spelled)
+        # The pair is not equal by accident: another seed gives another report.
+        assert report() != report("--seed", 1)
+
 
 class TestCompare:
     def write_report(self, path, accuracies):
@@ -313,6 +349,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json}\n", encoding="utf-8")
         assert run("types", "--data", bad) == 3
+
+    @pytest.mark.parametrize("name", [MANIFEST_NAME, "other.json"])
+    @pytest.mark.parametrize("manifest", [{"format": "provkit-dataset/0"}, []],
+                             ids=["wrong-tag", "array"])
+    def test_untagged_manifest_is_a_data_error(self, tmp_path, name, manifest):
+        data = two_class_dataset(tmp_path / "ds")
+        if isinstance(manifest, dict):
+            blob = json.loads((data / MANIFEST_NAME).read_text(encoding="utf-8"))
+            manifest = {**blob, **manifest}
+        (data / name).write_text(json.dumps(manifest), encoding="utf-8")
+        with warnings.catch_warnings():
+            # Under another name an untagged file is read as a PROV-JSON document.
+            warnings.simplefilter("ignore", ProvJsonWarning)
+            assert run("types", "--data", data / name, "--h", 0) == 3
+
+    def test_missing_report_is_a_data_error(self, tmp_path):
+        assert run("compare", tmp_path / "a.json", tmp_path / "b.json") == 3
 
 
 class TestStaging:
@@ -421,3 +474,44 @@ def test_provjson_pipeline_never_builds_a_graph(tmp_path, monkeypatch):
     assert blob["instances"]
     records = [json.loads(line) for line in (tmp_path / "A5.jsonl").read_text().splitlines()]
     assert {r["node"] for r in records} == {"e1", "e2", "a1", "ag1"}
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[name]
+
+
+def test_library_keywords_keep_their_only_defaults_in_the_library():
+    keywords = {
+        name
+        for fn in (repeated_kfold, balance_undersample, compare_reports)
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is not param.empty
+    }
+    # --threads is checked and then ignored: it never reaches repeated_kfold.
+    keywords.discard("threads")
+    checked = {}
+    for command in ("xval", "compare"):
+        for action in _subparser(command)._actions:
+            if action.dest in keywords:
+                assert action.default is argparse.SUPPRESS, (command, action.dest)
+                checked.setdefault(command, set()).add(action.dest)
+    assert checked == {"xval": {"C", "k", "repeats", "seed"}, "compare": {"alpha"}}
+
+
+def test_manifest_under_another_name_is_decoded_once(tmp_path, monkeypatch):
+    data = two_class_dataset(tmp_path / "ds")
+    text = (data / MANIFEST_NAME).read_text(encoding="utf-8")
+    (data / "other.json").write_text(text, encoding="utf-8")
+    decoded = []
+    loads = json.loads
+
+    def counting_loads(s, *args, **kwargs):
+        decoded.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert run("types", "--data", data / "other.json", "--h", 0,
+               "--out", tmp_path / "t.jsonl") == 0
+    assert decoded.count(text) == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_family
 from provkit.fixtures import admission_fixture, feature_vector_fixture
 from provkit.kernel import (
+    LABEL_MODES,
     FeatureMatrix,
     StaleUniverseError,
     TypeUniverse,
@@ -22,6 +23,7 @@ from provkit.kernel import (
     gram_to_csv,
     hamming_distance,
     kernel_value,
+    parse_feature_name,
     retrieve_instances,
 )
 from provkit.model import GraphFamily
@@ -79,6 +81,14 @@ class TestFeatureVectorFixture:
         for malformed in ("FG1_0\n", "FG\u0661_0"):
             with pytest.raises(ValueError):
                 self.universe.feature_lookup(malformed)
+
+
+@pytest.mark.parametrize("letter, mode", sorted(LABEL_MODES.items()))
+def test_feature_names_spell_the_label_mode_letter(letter, mode):
+    universe = TypeUniverse(mode, 1, ((t({"ent"}),), (t({"der"}, {"ent"}), t({"gen"}, {"act"}))))
+    assert universe.names() == [f"F{letter}0_0", f"F{letter}1_0", f"F{letter}1_1"]
+    assert parse_feature_name(f"F{letter}1_1") == (mode, 1, 1)
+    assert universe.feature_lookup(f"F{letter}1_1") == t({"gen"}, {"act"})
 
 
 class TestHamming:

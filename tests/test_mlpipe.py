@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from provkit import cli
 
 from provkit.mlpipe import (
     CvReport,
+    _fold_assignment,
     balance_undersample,
     compare_reports,
     mannwhitney_u,
@@ -228,6 +230,32 @@ def test_xval_balance_report_bytes_match_reference(tmp_path, monkeypatch, method
         report.pop("featurize_seconds")
         texts.append(json.dumps(report, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+def _reference_folds(labels, k, rng):
+    """Fold ids assigned element by element along each permutation."""
+    folds = np.empty(len(labels), dtype=np.int64)
+    counts = {cls: int((labels == cls).sum()) for cls in np.unique(labels)}
+    if min(counts.values()) < k:
+        for pos, idx in enumerate(rng.permutation(len(labels))):
+            folds[idx] = pos % k
+        return folds
+    for cls in sorted(counts):
+        for pos, g in enumerate(rng.permutation(np.flatnonzero(labels == cls))):
+            folds[g] = pos % k
+    return folds
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [2, 5, 10])
+def test_fold_assignment_matches_reference(seed, k):
+    rng = np.random.default_rng(100 + seed)
+    labels = np.array([str(x) for x in rng.integers(0, 3, size=int(rng.integers(12, 60)))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the unstratified fallback
+        got = _fold_assignment(labels, k, np.random.default_rng(seed))
+        want = _reference_folds(labels, k, np.random.default_rng(seed))
+    assert got.tolist() == want.tolist()
 
 
 def block_kernel(labels, same=2.0, diag=1.0):

@@ -22,10 +22,18 @@ from provkit.model import (
     ProvGraph,
     dependency_subgraph,
     graph_summary,
+    read_json,
     validate_labels,
 )
 from provkit.provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
-from provkit.storage import dataset_texts, load_internal, save_internal
+from provkit.storage import (
+    FORMAT_TAG,
+    MANIFEST_NAME,
+    dataset_texts,
+    load_dataset,
+    load_internal,
+    save_internal,
+)
 
 
 def g(nodes, edges, gid="g"):
@@ -59,6 +67,43 @@ class TestProvGraph:
         graph = g({"a": {"app:only"}}, [])
         with pytest.raises(ValueError):
             generic_graph(graph)
+
+    @pytest.mark.parametrize(
+        "graph_id, nodes, edges, message",
+        [
+            ("g", {1: {"ent"}, "1": {"act"}}, (), "graph and node ids must be strings"),
+            (7, {"a": {"ent"}}, (), "graph and node ids must be strings"),
+            ("g", {"a": {"ent", 5}}, (), "labels must be strings"),
+            ("g", {"a": {"ent", ("x",)}}, (), "labels must be strings"),
+            ("g", {"a": [["x"]]}, (), "labels must be strings"),
+            ("g", {"a": {"ent"}, "1": {"ent"}}, (("a", 1, "der"),), "destination node 1"),
+            ("g", {"a": {"ent"}}, (("a", "a", 5),), "unknown edge label 5"),
+        ],
+        ids=["int-node-id-beside-its-string", "int-graph-id", "int-label", "tuple-label",
+             "unhashable-label", "int-edge-end", "int-edge-label"],
+    )
+    def test_non_string_fields_rejected_not_coerced(self, graph_id, nodes, edges, message):
+        with pytest.raises(ValueError, match=message):
+            ProvGraph(graph_id, nodes, edges)
+
+    def test_edges_may_be_any_iterable_of_triples(self):
+        edges = iter([["b", "a", "der"], ("a", "b", "der")])
+        graph = ProvGraph("g", {"a": {"ent"}, "b": {"ent"}}, edges)
+        assert graph.edges == (("a", "b", "der"), ("b", "a", "der"))
+        assert graph.nodes == {"a": frozenset({"ent"}), "b": frozenset({"ent"})}
+
+
+def test_read_json_reports_the_file(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text('{"a": [1]}', encoding="utf-8")
+    assert read_json(good) == {"a": [1]}
+    assert read_json(str(good)) == {"a": [1]}
+    with pytest.raises(DataFormatError, match=r"no such file: .*nope\.json"):
+        read_json(tmp_path / "nope.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"bad\.json: not valid JSON"):
+        read_json(bad)
 
 
 class TestValidate:
@@ -337,6 +382,41 @@ class TestStorage:
     def test_missing_path(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_internal(tmp_path / "nope")
+
+    def test_load_dataset_reads_every_input_kind(self, tmp_path):
+        ds = self.make_dataset()
+        save_internal(ds, tmp_path / "d")
+        manifest = (tmp_path / "d" / MANIFEST_NAME).read_text(encoding="utf-8")
+        (tmp_path / "d" / "other.json").write_text(manifest, encoding="utf-8")
+        for name in ("d", f"d/{MANIFEST_NAME}", "d/other.json", "d/graphs.jsonl"):
+            loaded = load_dataset(tmp_path / name)
+            assert loaded.family == ds.family, name
+            assert loaded.class_labels == ds.class_labels, name
+        doc = {"entity": {"e1": {"prov:type": "x:A"}}, "activity": {"a1": {}},
+               "used": {"_:u1": {"prov:activity": "a1", "prov:entity": "e1"}}}
+        (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        loaded = load_dataset(tmp_path / "doc.json")
+        assert loaded.family == load_family(doc, graph_id="doc")
+        assert loaded.class_labels == {"doc": "unlabeled"}
+        assert loaded.meta == {"source": str(tmp_path / "doc.json")}
+
+    @pytest.mark.parametrize("manifest", [{"format": "provkit-dataset/0"}, {}, [], "x"],
+                             ids=["wrong-tag", "no-tag", "array", "string"])
+    def test_untagged_manifest_rejected(self, tmp_path, manifest):
+        p = tmp_path / MANIFEST_NAME
+        p.write_text(json.dumps(manifest), encoding="utf-8")
+        for load in (load_internal, load_dataset):
+            with pytest.raises(DataFormatError, match="unrecognized manifest format"):
+                load(p)
+
+    def test_tagged_manifest_under_any_name(self, tmp_path):
+        rec = {"id": "g1", "label": "a", "nodes": [{"id": "n", "labels": ["ent"]}], "edges": []}
+        (tmp_path / "x.jsonl").write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        manifest = {"format": FORMAT_TAG, "files": ["x.jsonl"], "meta": {"m": 1}}
+        (tmp_path / "any.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for load in (load_internal, load_dataset):
+            ds = load(tmp_path / "any.json")
+            assert ds.class_labels == {"g1": "a"} and ds.meta == {"m": 1}
 
     def test_dataset_label_consistency(self):
         fam = GraphFamily((ProvGraph("g1", {"n": frozenset({"ent"})}, ()),))
