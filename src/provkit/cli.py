@@ -32,7 +32,6 @@ from .baselines import eh_gram, vh_gram, wl_gram
 from .kernel import (
     LABEL_MODES,
     GramMatrix,
-    TypeUniverse,
     build_universe,
     distance_report,
     featurize,
@@ -46,7 +45,7 @@ from .mlpipe import CvReport, balance_undersample, compare_reports, repeated_kfo
 from .model import DataFormatError, GraphFamily, read_json
 from .pgsim import MODES, SimParams, generate_dataset
 from .storage import dataset_texts, load_dataset
-from .typeinf import TypeAssignment, dump_types, infer_types
+from .typeinf import PType, TypeAssignment, dump_types, infer_types
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -199,24 +198,23 @@ def cmd_compare(args: argparse.Namespace, sink: _ArtifactSink) -> None:
 
 def cmd_explain(args: argparse.Namespace, sink: _ArtifactSink) -> None:
     ds = load_dataset(args.data)
-    wanted = [args.feature] + ([args.distance_to] if args.distance_to else [])
     assigns: dict[str, TypeAssignment] = {}
-    universes: dict[str, TypeUniverse] = {}
-    types = []
-    for name in wanted:
+
+    def lookup(name: str) -> tuple[TypeAssignment, PType]:
+        """The assignment of ``name``'s label mode, inferred once, and its type."""
         mode, _, _ = parse_feature_name(name)
-        if mode not in universes:
+        if mode not in assigns:
             assigns[mode] = infer_types(ds.family, args.h, mode)
-            universes[mode] = build_universe(assigns[mode])
-        types.append(universes[mode].feature_lookup(name))
+        return assigns[mode], build_universe(assigns[mode]).feature_lookup(name)
+
+    assign, t = lookup(args.feature)
     if args.distance_to:
-        _emit(args, sink, _json_text(distance_report(types[0], types[1])))
+        _emit(args, sink, _json_text(distance_report(t, lookup(args.distance_to)[1])))
         return
-    mode, _, _ = parse_feature_name(args.feature)
-    hits = retrieve_instances(assigns[mode], types[0])
+    hits = retrieve_instances(assign, t)
     blob = {
         "feature": args.feature,
-        "type": types[0].to_jsonable(),
+        "type": t.to_jsonable(),
         "instances": [list(hit) for hit in hits],
     }
     _emit(args, sink, _json_text(blob))

@@ -122,11 +122,18 @@ class FeatureMatrix:
         except KeyError:
             raise KeyError(f"unknown graph {graph_id!r}") from None
 
+    def _depth(self, h: int | None) -> int:
+        """``h`` (the deepest featurized depth if ``None``), checked against that range."""
+        h = self.universe.h_max if h is None else h
+        if not 0 <= h <= self.universe.h_max:
+            raise ValueError(f"h {h} outside featurized range 0..{self.universe.h_max}")
+        return h
+
     def vector(self, graph_id: str, h: int | None = None) -> list[int]:
         """The concatenated exact count vector for depths ``0..h``."""
-        h = self.universe.h_max if h is None else h
+        mats = self.mats[: self._depth(h) + 1]
         row = self.row_index(graph_id)
-        return [v for m in self.mats[: h + 1] for v in m[row].tolist()]
+        return [v for m in mats for v in m[row].tolist()]
 
 
 def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatrix:
@@ -154,13 +161,11 @@ def kernel_value(fm: FeatureMatrix, p: str, q: str, h: int | None = None) -> int
 
     Computed with arbitrary-precision integers, so it cannot overflow.
     """
-    h = fm.universe.h_max if h is None else h
-    if not 0 <= h <= fm.universe.h_max:
-        raise ValueError(f"h {h} outside featurized range 0..{fm.universe.h_max}")
+    mats = fm.mats[: fm._depth(h) + 1]
     rp, rq = fm.row_index(p), fm.row_index(q)
     return sum(
         a * b
-        for m in fm.mats[: h + 1]
+        for m in mats
         for a, b in zip(m[rp].tolist(), m[rq].tolist())
     )
 
@@ -212,9 +217,7 @@ def gram(fm: FeatureMatrix, h: int | None = None, normalize: bool = False) -> Gr
     exact; ``OverflowError`` is raised if the 64-bit accumulator could
     overflow.
     """
-    h = fm.universe.h_max if h is None else h
-    if not 0 <= h <= fm.universe.h_max:
-        raise ValueError(f"h {h} outside featurized range 0..{fm.universe.h_max}")
+    h = fm._depth(h)
     return _count_gram(np.hstack(fm.mats[: h + 1]), fm.graph_ids, h, normalize)
 
 

@@ -91,9 +91,10 @@ class ProvGraph:
     ``(source, destination, label)`` triples.  Parallel edges, duplicate
     triples and cycles are all permitted.  Construction canonicalizes the
     representation (label sets frozen, edges sorted) so that equal graphs
-    compare equal regardless of insertion order.  The graph id, node ids,
-    labels and edge ends must be strings: nothing is coerced, so ``1`` and
-    ``"1"`` never merge into one node.
+    compare equal regardless of insertion order.  The family build checks
+    the graph, as it checks every loader's: ids, labels and edge ends must be
+    strings and are never coerced, so ``1`` and ``"1"`` never merge into one
+    node, and a fault is a :class:`DataFormatError` naming the graph.
     """
 
     graph_id: str
@@ -101,20 +102,9 @@ class ProvGraph:
     edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(i, str) for i in (self.graph_id, *self.nodes)):
-            raise ValueError(f"graph {self.graph_id!r}: graph and node ids must be strings")
-        try:
-            nodes = {nid: frozenset(labels) for nid, labels in self.nodes.items()}
-        except TypeError:  # an unhashable label
-            raise ValueError("node labels must be strings") from None
-        for nid, labels in nodes.items():
-            if fault := _label_fault(nid, labels):
-                raise ValueError(fault)
-        # With string node ids, an edge end that is not a string is undeclared.
         edges = list(self.edges)
-        if fault := _edge_fault(edges, nodes):
-            raise ValueError(fault)
-        object.__setattr__(self, "nodes", nodes)
+        GraphFamily.from_records([(self.graph_id, self.nodes.items(), edges)])
+        object.__setattr__(self, "nodes", {nid: frozenset(labs) for nid, labs in self.nodes.items()})
         object.__setattr__(self, "edges", tuple(sorted(map(tuple, edges))))
 
     @classmethod
@@ -166,8 +156,8 @@ class GraphFamily:
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, Iterable, Iterable]]) -> "GraphFamily":
         """A family from ``(graph id, (node id, labels) pairs, edge triples)``
-        records with string ids, validated as :class:`ProvGraph` validates a
-        graph.  Raises :class:`DataFormatError` naming the graph."""
+        records: the one check of a graph from any source, :class:`ProvGraph`
+        included.  Raises :class:`DataFormatError` naming the graph."""
         family = cls.__new__(cls)
         family._flatten(records)
         return family
@@ -185,15 +175,23 @@ class GraphFamily:
         seen: set[str] = set()
         for gid, node_items, edges in records:
             fault = f"graph {gid!r}: "
+            if not isinstance(gid, str):  # before the set lookup, which an unhashable id breaks
+                raise DataFormatError(f"{fault}graph and node ids must be strings")
             if gid in seen:
                 raise DataFormatError(f"{fault}duplicate graph id")
             seen.add(gid)
-            items = sorted(node_items, key=itemgetter(0))
+            try:  # ids of mixed types already fail the sort
+                items = sorted(node_items, key=itemgetter(0))
+                ids = list(map(itemgetter(0), items))
+                if not all(isinstance(nid, str) for nid in ids):
+                    raise TypeError
+            except TypeError:
+                raise DataFormatError(f"{fault}graph and node ids must be strings") from None
             base = len(node_ids)
-            node_ids.extend(map(itemgetter(0), items))
-            index = dict(zip(node_ids[base:], range(base, len(node_ids))))
-            if len(index) < len(items):
-                dup = next(a for a, b in zip(node_ids[base:], node_ids[base + 1 :]) if a == b)
+            node_ids += ids
+            index = dict(zip(ids, range(base, len(node_ids))))
+            if len(index) < len(ids):
+                dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
                 raise DataFormatError(f"{fault}duplicate node id {dup!r}")
             keys = list(map(tuple, map(itemgetter(1), items)))
             try:

@@ -30,7 +30,7 @@ FORMAT_TAG = "provkit-dataset/1"
 
 def _record_fields(record: dict) -> tuple[str, str, list, list]:
     """Graph id, class label, ``(node id, labels)`` pairs and edges of one
-    record, each field type-checked; the family build checks the rest."""
+    record, with the record's format checked; the family build checks the graph."""
     try:
         gid = record["id"]
         label = record["label"]
@@ -38,8 +38,9 @@ def _record_fields(record: dict) -> tuple[str, str, list, list]:
         edges = record["edges"]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed graph record: {exc}") from exc
+    # The id keys the class labels before the family build sees the record.
     if not isinstance(gid, str):
-        raise DataFormatError(f"graph {gid!r}: graph id must be a string")
+        raise DataFormatError(f"graph {gid!r}: graph and node ids must be strings")
     if not isinstance(label, str):
         raise DataFormatError(f"graph {gid!r}: class label must be a string")
     if not isinstance(edges, list):
@@ -48,13 +49,11 @@ def _record_fields(record: dict) -> tuple[str, str, list, list]:
         items = list(map(itemgetter("id", "labels"), node_records))
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"graph {gid!r}: malformed node record: {exc}") from exc
-    # JSON decodes to exact types, so comparing types checks every node at once.
-    if not (set(map(type, map(itemgetter(0), items))) <= {str}
-            and set(map(type, map(itemgetter(1), items))) <= {list}):
-        nid = next(nid for nid, labels in items if type(nid) is not str or type(labels) is not list)
-        raise DataFormatError(
-            f"graph {gid!r}: node {nid!r} needs a string id and a list of labels"
-        )
+    # JSON decodes to exact types, so comparing types checks every node at once;
+    # a string would otherwise be split into one-letter labels.
+    if not set(map(type, map(itemgetter(1), items))) <= {list}:
+        nid = next(nid for nid, labels in items if type(labels) is not list)
+        raise DataFormatError(f"graph {gid!r}: node {nid!r} needs a list of labels")
     return gid, label, items, edges
 
 
@@ -122,13 +121,14 @@ def load_dataset(path: str | Path) -> Dataset:
     """A saved dataset as :func:`load_internal` reads it, or else a PROV-JSON
     document as a one-graph dataset named after the file stem and labelled
     ``"unlabeled"``.  Any file but a ``manifest.json`` or ``.jsonl`` is
-    decoded once, and is a manifest only if it carries the format tag."""
+    decoded once, and is a manifest if it has a ``format`` or ``files``
+    section, which PROV-JSON does not have."""
     p = Path(path)
     if p.is_dir() or p.name.endswith(".jsonl") or p.name == MANIFEST_NAME:
         return load_internal(p)
     with _gc_paused():
         doc = read_json(p)
-        if not (isinstance(doc, dict) and doc.get("format") == FORMAT_TAG):
+        if not (isinstance(doc, dict) and {"format", "files"} & doc.keys()):
             family = load_family(doc, "application", graph_id=p.stem)
             return Dataset(family, {p.stem: "unlabeled"}, {"source": str(p)})
     return _from_manifest(p, doc)

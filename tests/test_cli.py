@@ -364,6 +364,20 @@ class TestExitCodes:
             warnings.simplefilter("ignore", ProvJsonWarning)
             assert run("types", "--data", data / name, "--h", 0) == 3
 
+    @pytest.mark.parametrize("tag", ["provkit-dataset/0", None], ids=["wrong-tag", "no-tag"])
+    def test_misnamed_manifest_is_read_as_a_manifest(self, tmp_path, tag, capsys):
+        data = two_class_dataset(tmp_path / "ds")
+        manifest = json.loads((data / MANIFEST_NAME).read_text(encoding="utf-8"))
+        del manifest["format"]
+        if tag is not None:
+            manifest["format"] = tag
+        (data / "other.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("types", "--data", data / "other.json", "--h", 0) == 3
+        assert not [w for w in caught if issubclass(w.category, ProvJsonWarning)]
+        assert "unrecognized manifest format" in capsys.readouterr().err
+
     def test_missing_report_is_a_data_error(self, tmp_path):
         assert run("compare", tmp_path / "a.json", tmp_path / "b.json") == 3
 

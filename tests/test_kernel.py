@@ -83,6 +83,19 @@ class TestFeatureVectorFixture:
                 self.universe.feature_lookup(malformed)
 
 
+@pytest.mark.parametrize("h", [-1, 3], ids=["below", "above"])
+def test_depth_outside_featurized_range_rejected(h):
+    fm = pipeline(GraphFamily((admission_fixture(),)), 2, "application")[2]
+    for call in (
+        lambda: fm.vector("admission", h),
+        lambda: kernel_value(fm, "admission", "admission", h),
+        lambda: gram(fm, h),
+    ):
+        with pytest.raises(ValueError, match=rf"h {h} outside featurized range 0\.\.2"):
+            call()
+    assert len(fm.vector("admission")) == len(fm.vector("admission", 2)) == 16
+
+
 @pytest.mark.parametrize("letter, mode", sorted(LABEL_MODES.items()))
 def test_feature_names_spell_the_label_mode_letter(letter, mode):
     universe = TypeUniverse(mode, 1, ((t({"ent"}),), (t({"der"}, {"ent"}), t({"gen"}, {"act"}))))

@@ -93,6 +93,42 @@ class TestProvGraph:
         assert graph.nodes == {"a": frozenset({"ent"}), "b": frozenset({"ent"})}
 
 
+@pytest.mark.parametrize(
+    "graph_id, nodes, edges",
+    [
+        ("g", {"a": []}, []),
+        ("g", {"a": ["ent"], "b": ["ent"]}, [["a", "b", "derivedFrom"]]),
+        ("g", {"a": ["ent"]}, [["a", "b", "der"]]),
+        ("g", {1: ["ent"], "1": ["act"]}, []),
+        ("g", {"a": ["ent"], 2: ["ent"], "c": ["act"]}, []),
+        ("g", {1: ["ent"]}, []),
+        (7, {"a": ["ent"]}, []),
+        ([1], {"a": ["ent"]}, []),
+    ],
+    ids=["empty-label-set", "unknown-edge-label", "undeclared-edge-end",
+         "int-node-id-beside-its-string", "mixed-node-ids", "int-node-id",
+         "int-graph-id", "unhashable-graph-id"],
+)
+def test_one_fault_one_error(tmp_path, graph_id, nodes, edges):
+    """A malformed graph gets the same DataFormatError from every entry point."""
+    record = {"id": graph_id, "label": "a", "edges": edges,
+              "nodes": [{"id": nid, "labels": labels} for nid, labels in nodes.items()]}
+    path = tmp_path / "g.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    frozen = {nid: frozenset(labels) for nid, labels in nodes.items()}
+    messages = set()
+    for build in (
+        lambda: ProvGraph(graph_id, frozen, edges),
+        lambda: GraphFamily.from_records([(graph_id, frozen.items(), edges)]),
+        lambda: load_internal(path),
+    ):
+        with pytest.raises(DataFormatError) as caught:
+            build()
+        messages.add(str(caught.value))
+    assert len(messages) == 1 and messages.pop().startswith(f"graph {graph_id!r}: ")
+    assert main(["types", "--data", str(path)]) == 3
+
+
 def test_read_json_reports_the_file(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"a": [1]}', encoding="utf-8")
