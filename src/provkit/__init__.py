@@ -46,7 +46,7 @@ from .model import (
 from .pgsim import MODES, TEAMS, SimParams, generate_dataset, simulate_run
 from .provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
 from .storage import load_internal, save_internal
-from .svm import ConvergenceWarning, OvrSvm, smo_solve, svm_predict, svm_train
+from .svm import ConvergenceWarning, OvrSvm, smo_solve, svm_train
 from .typeinf import (
     EMPTY,
     PType,
@@ -109,7 +109,6 @@ __all__ = [
     "save_internal",
     "simulate_run",
     "smo_solve",
-    "svm_predict",
     "svm_train",
     "type_from_walks",
     "validate_labels",

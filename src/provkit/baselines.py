@@ -26,7 +26,7 @@ def vh_gram(family: GraphFamily, label_mode: str = "application", normalize: boo
     """Vertex histogram kernel: counts of identical node label sets."""
     label_sets, colors = family.label_sets_in(label_mode)
     x = _counts(family.graph_of, colors, len(family), len(label_sets))
-    return _count_gram(x, family.graph_ids, 0, normalize)
+    return _count_gram(x, family.graph_ids, normalize)
 
 
 def eh_gram(family: GraphFamily, normalize: bool = False) -> GramMatrix:
@@ -34,7 +34,7 @@ def eh_gram(family: GraphFamily, normalize: bool = False) -> GramMatrix:
     # An edge belongs to its source's graph.
     owner = family.graph_of[family.src]
     x = _counts(owner, family.edge_labels, len(family), len(EDGE_LABEL_ORDER))
-    return _count_gram(x, family.graph_ids, 0, normalize)
+    return _count_gram(x, family.graph_ids, normalize)
 
 
 def wl_colorings(
@@ -143,4 +143,4 @@ def wl_gram(
     for _ in range(h):
         colors, width = _refine(colors, width, family, buckets)
         blocks.append(_counts(owner, colors, len(family), width))
-    return _count_gram(np.hstack(blocks), family.graph_ids, h, normalize)
+    return _count_gram(np.hstack(blocks), family.graph_ids, normalize)

@@ -5,7 +5,8 @@ Subcommands cover the full path from raw graphs to evaluation artifacts:
 ``gram`` writes kernel matrices, ``simulate`` generates the player dataset,
 ``xval`` runs repeated k-fold cross-validation, ``compare`` applies the
 rank-sum test to two CV reports, and ``explain`` resolves feature names
-back to type definitions and graph instances.
+back to type definitions and graph instances, inferring types as deep as
+the names say.  Flags must be spelled in full: a prefix is a usage error.
 Handlers leave input kinds, bad-JSON errors, defaults of flags left out and
 label-mode letters to the library.
 
@@ -235,8 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="provkit",
         description="Provenance graph kernels: featurize, classify, explain.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, **kw) -> argparse.ArgumentParser:
+        # Flags are spelled in full: a unique prefix is an unrecognized argument.
+        return sub.add_parser(name, allow_abbrev=False, **kw)
 
     def add_data(p):
         p.add_argument(
@@ -272,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="cosine-normalize the Gram matrix",
         )
 
-    p = sub.add_parser("types", help="dump the per-node type assignment")
+    p = command("types", help="dump the per-node type assignment")
     add_data(p)
     add_method(p)
     add_threads(p)
     p.add_argument("--out", type=Path, help="output file (default: stdout)")
 
-    p = sub.add_parser("featurize", help="write the feature CSV and name sidecar")
+    p = command("featurize", help="write the feature CSV and name sidecar")
     add_data(p)
     add_method(p)
     add_threads(p)
     p.add_argument("--out", type=Path, required=True, help="feature CSV path")
 
-    p = sub.add_parser("gram", help="write a kernel Gram matrix CSV")
+    p = command("gram", help="write a kernel Gram matrix CSV")
     add_data(p)
     add_method(p)
     add_kernel(p)
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Flags store into SimParams fields and are left out when not given, so
     # SimParams holds the only defaults.
-    p = sub.add_parser(
+    p = command(
         "simulate",
         help="generate a player-simulation dataset",
         argument_default=argparse.SUPPRESS,
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balls", type=int, dest="initial_balls")
     p.add_argument("--storage", type=int, dest="max_storage")
 
-    p = sub.add_parser("xval", help="repeated stratified k-fold cross-validation")
+    p = command("xval", help="repeated stratified k-fold cross-validation")
     add_data(p)
     add_method(p)
     add_kernel(p)
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=Path, help="report JSON path (default: stdout)")
 
-    p = sub.add_parser("compare", help="rank-sum test between two CV reports")
+    p = command("compare", help="rank-sum test between two CV reports")
     p.add_argument("report_a", type=Path)
     p.add_argument("report_b", type=Path)
     p.add_argument("--name-a", help="method name for the first report")
@@ -335,12 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", type=Path, help="verdict JSON path (default: stdout)")
 
-    p = sub.add_parser(
-        "explain", help="resolve a feature name to its type and instances"
-    )
+    p = command("explain", help="resolve a feature name to its type and instances")
     add_data(p)
     add_threads(p)
-    p.add_argument("--h", type=int, choices=range(6), help="type depth, 0..5")
     p.add_argument("--feature", required=True, metavar="NAME", help="e.g. FA2_0")
     p.add_argument(
         "--distance-to",
@@ -375,16 +378,13 @@ def _resolve(parser, args) -> None:
             given = {k: v for k, v in vars(args).items() if k in _SIM_FIELDS}
             args.sim = SimParams(**given)
         elif args.command == "explain":
-            names = [args.feature] + ([args.distance_to] if args.distance_to else [])
-            deepest = max(parse_feature_name(name)[1] for name in names)
-            if deepest > 5:
-                parser.error(f"feature depth {deepest} is outside 0..5")
-            if args.h is None:
-                args.h = deepest
-            elif args.h < deepest:
-                parser.error(
-                    f"--h {args.h} is below the deepest requested feature (depth {deepest})"
-                )
+            # A depth-d type is the same at any deeper inference, so the
+            # feature's own depth is how deep to infer.
+            args.h = parse_feature_name(args.feature)[1]
+            if args.h > 5:
+                parser.error(f"feature depth {args.h} is outside 0..5")
+            if args.distance_to and (d := parse_feature_name(args.distance_to)[1]) != args.h:
+                parser.error(f"--distance-to needs a feature of depth {args.h}, not {d}")
         elif args.command != "compare":
             args.label_mode, args.h = _resolve_method(parser, args)
     except ValueError as exc:

@@ -174,7 +174,6 @@ def kernel_value(fm: FeatureMatrix, p: str, q: str, h: int | None = None) -> int
 class GramMatrix:
     graph_ids: tuple[str, ...]
     values: np.ndarray
-    h: int
     normalized: bool
 
 
@@ -184,9 +183,7 @@ def _counts(owner: np.ndarray, codes: np.ndarray, n_rows: int, width: int) -> np
     return flat.reshape(n_rows, width)
 
 
-def _count_gram(
-    x: np.ndarray, graph_ids: tuple[str, ...], h: int, normalize: bool
-) -> GramMatrix:
+def _count_gram(x: np.ndarray, graph_ids: tuple[str, ...], normalize: bool) -> GramMatrix:
     """Gram matrix of a non-negative integer count matrix (graphs x columns).
 
     Entries are exact int64 dot products of the rows.  By Cauchy-Schwarz no
@@ -200,13 +197,13 @@ def _count_gram(
         )
     values = x @ x.T
     if not normalize:
-        return GramMatrix(graph_ids, values, h, False)
+        return GramMatrix(graph_ids, values, False)
     diag = np.diagonal(values).astype(np.float64)
     if np.any(diag <= 0):
         bad = graph_ids[int(np.argmin(diag))]
         raise ValueError(f"cannot normalize: graph {bad!r} has zero self-kernel")
     scale = np.sqrt(np.outer(diag, diag))
-    return GramMatrix(graph_ids, values.astype(np.float64) / scale, h, True)
+    return GramMatrix(graph_ids, values.astype(np.float64) / scale, True)
 
 
 def gram(fm: FeatureMatrix, h: int | None = None, normalize: bool = False) -> GramMatrix:
@@ -217,8 +214,7 @@ def gram(fm: FeatureMatrix, h: int | None = None, normalize: bool = False) -> Gr
     exact; ``OverflowError`` is raised if the 64-bit accumulator could
     overflow.
     """
-    h = fm._depth(h)
-    return _count_gram(np.hstack(fm.mats[: h + 1]), fm.graph_ids, h, normalize)
+    return _count_gram(np.hstack(fm.mats[: fm._depth(h) + 1]), fm.graph_ids, normalize)
 
 
 def hamming_distance(a: PType, b: PType) -> Fraction:

@@ -48,6 +48,8 @@ EDGE_LABELS = frozenset(EDGE_KINDS)
 #: Edge labels in sorted order; a family's edge-label codes index this tuple.
 EDGE_LABEL_ORDER: tuple[str, ...] = tuple(sorted(EDGE_KINDS))
 _EDGE_CODE = {lab: code for code, lab in enumerate(EDGE_LABEL_ORDER)}
+#: The containers a node's labels may come in; a string would split into letters.
+_LABEL_SET_TYPES = frozenset({list, tuple, set, frozenset})
 
 
 class DataFormatError(ValueError):
@@ -94,7 +96,8 @@ class ProvGraph:
     compare equal regardless of insertion order.  The family build checks
     the graph, as it checks every loader's: ids, labels and edge ends must be
     strings and are never coerced, so ``1`` and ``"1"`` never merge into one
-    node, and a fault is a :class:`DataFormatError` naming the graph.
+    node; each label set is a list, tuple, set or frozenset, never a bare
+    string; and a fault is a :class:`DataFormatError` naming the graph.
     """
 
     graph_id: str
@@ -193,6 +196,10 @@ class GraphFamily:
             if len(index) < len(ids):
                 dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
                 raise DataFormatError(f"{fault}duplicate node id {dup!r}")
+            # One type pass over the graph's label sets, exact types only.
+            if not set(map(type, map(itemgetter(1), items))) <= _LABEL_SET_TYPES:
+                nid = next(nid for nid, labels in items if type(labels) not in _LABEL_SET_TYPES)
+                raise DataFormatError(f"{fault}node {nid!r} needs a list, tuple or set of labels")
             keys = list(map(tuple, map(itemgetter(1), items)))
             try:
                 fresh = [key for key in dict.fromkeys(keys) if key not in fast]
@@ -426,9 +433,11 @@ def dependency_subgraph(graph: ProvGraph, node: str) -> ProvGraph:
             if p not in keep:
                 keep.add(p)
                 queue.append(p)
-    nodes = {nid: graph.nodes[nid] for nid in keep}
-    edges = [e for e in graph.edges if e[0] in keep and e[1] in keep]
-    return ProvGraph(graph.graph_id, nodes, tuple(edges))
+    # The kept nodes and the edges among them, filtered in order, are
+    # already valid and canonical.
+    nodes = {nid: labels for nid, labels in graph.nodes.items() if nid in keep}
+    edges = tuple(e for e in graph.edges if e[0] in keep and e[1] in keep)
+    return ProvGraph._canonical(graph.graph_id, nodes, edges)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ player through its own distance scans and fresh generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,35 +257,20 @@ class _Recorder:
         return ProvGraph._canonical(self.graph_id, nodes, tuple(sorted(self.edges)))
 
 
-@dataclass
 class _World:
-    params: SimParams
-    run_seed: int
-    pox: np.ndarray = field(init=False)
-    poy: np.ndarray = field(init=False)
-    strength: np.ndarray = field(init=False)
-    expiry: np.ndarray = field(init=False)
-    uid: np.ndarray = field(init=False)
-    alive: np.ndarray = field(init=False)
-    stop_x: np.ndarray = field(init=False)
-    stop_y: np.ndarray = field(init=False)
-    px: list[int] = field(init=False)
-    py: list[int] = field(init=False)
-    stream: _TickStream = field(init=False)
-    next_uid: int = 0
+    """Creature, stop and player positions of one run, drawn from stream 0."""
 
-    def __post_init__(self):
-        p = self.params
+    def __init__(self, params: SimParams, run_seed: int) -> None:
+        p = self.params = params
         gx, gy = p.grid
-        self.stream = _TickStream(self.run_seed, 0)
+        self.stream = _TickStream(run_seed, 0)
         rng = self.stream.at(0)
         self.stop_x = rng.integers(0, gx, size=p.n_pokestops)
         self.stop_y = rng.integers(0, gy, size=p.n_pokestops)
         self.pox = rng.integers(0, gx, size=p.n_pokemons)
         self.poy = rng.integers(0, gy, size=p.n_pokemons)
         self.strength = rng.integers(0, p.strength_max, size=p.n_pokemons)
-        lifetime = rng.integers(p.lifetime_min, p.lifetime_max + 1, size=p.n_pokemons)
-        self.expiry = lifetime.copy()
+        self.expiry = rng.integers(p.lifetime_min, p.lifetime_max + 1, size=p.n_pokemons)
         self.uid = np.arange(p.n_pokemons, dtype=np.int64)
         self.alive = np.ones(p.n_pokemons, dtype=bool)
         self.px = rng.integers(0, gx, size=p.n_players).tolist()

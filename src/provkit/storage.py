@@ -49,11 +49,6 @@ def _record_fields(record: dict) -> tuple[str, str, list, list]:
         items = list(map(itemgetter("id", "labels"), node_records))
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"graph {gid!r}: malformed node record: {exc}") from exc
-    # JSON decodes to exact types, so comparing types checks every node at once;
-    # a string would otherwise be split into one-letter labels.
-    if not set(map(type, map(itemgetter(1), items))) <= {list}:
-        nid = next(nid for nid, labels in items if type(labels) is not list)
-        raise DataFormatError(f"graph {gid!r}: node {nid!r} needs a list of labels")
     return gid, label, items, edges
 
 
@@ -139,11 +134,14 @@ def _from_manifest(p: Path, manifest) -> Dataset:
     tag = manifest.get("format") if isinstance(manifest, dict) else None
     if tag != FORMAT_TAG:
         raise DataFormatError(f"{p}: unrecognized manifest format {tag!r}")
+    files = manifest.get("files", [])
+    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+        raise DataFormatError(f"{p}: manifest 'files' must be a list of file names")
     labels: dict[str, str] = {}
     with _gc_paused():
         family = GraphFamily.from_records(
             record
-            for name in manifest.get("files", [])
+            for name in files
             for record in _read_graph_file(p.parent / name, labels)
         )
     declared = manifest.get("class_labels", {})

@@ -30,11 +30,9 @@ class ConvergenceWarning(UserWarning):
 class BinarySvm:
     """One binary dual solution over a fixed training kernel."""
 
-    target: str
     alpha: np.ndarray
     y: np.ndarray
     b: float
-    C: float
     n_iter: int
     converged: bool
 
@@ -173,7 +171,6 @@ class OvrSvm:
 
     classes: tuple[str, ...]
     models: tuple[BinarySvm, ...]
-    C: float
 
     def decision_matrix(self, k_rows: np.ndarray) -> np.ndarray:
         k_rows = np.atleast_2d(np.asarray(k_rows, dtype=np.float64))
@@ -202,19 +199,5 @@ def svm_train(
     for cls in classes:
         y = np.where(arr == cls, 1.0, -1.0)
         alpha, b, it, ok, _ = smo_solve(k, y, C, tol, max_iter)
-        models.append(
-            BinarySvm(
-                target=cls,
-                alpha=alpha,
-                y=y,
-                b=b,
-                C=C,
-                n_iter=it,
-                converged=ok,
-            )
-        )
-    return OvrSvm(classes=classes, models=tuple(models), C=C)
-
-
-def svm_predict(model: OvrSvm, k_rows: np.ndarray) -> list[str]:
-    return model.predict(k_rows)
+        models.append(BinarySvm(alpha=alpha, y=y, b=b, n_iter=it, converged=ok))
+    return OvrSvm(classes=classes, models=tuple(models))

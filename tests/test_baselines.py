@@ -48,10 +48,10 @@ def test_eh_counts_parallel_edges():
 
 def test_histogram_overflow_refused():
     # VH, EH and WL all hand their per-graph count matrix to _count_gram.
-    below = _count_gram(np.array([[2**31 - 1]], dtype=np.int64), ("g",), 0, False)
+    below = _count_gram(np.array([[2**31 - 1]], dtype=np.int64), ("g",), False)
     assert below.values[0, 0] == (2**31 - 1) ** 2
     with pytest.raises(OverflowError):
-        _count_gram(np.array([[2**31]], dtype=np.int64), ("g",), 0, False)
+        _count_gram(np.array([[2**31]], dtype=np.int64), ("g",), False)
 
 
 _BY_LABEL_MODE = {
@@ -173,7 +173,7 @@ def oracle_wl_gram(fam, h, mode, normalize) -> GramMatrix:
     if normalize:
         diag = np.diagonal(values).astype(np.float64)
         values = values.astype(np.float64) / np.sqrt(np.outer(diag, diag))
-    return GramMatrix(ids, values, h, normalize)
+    return GramMatrix(ids, values, normalize)
 
 
 @given(wl_families(), st.sampled_from(["application", "generic"]), st.booleans())

@@ -335,8 +335,35 @@ class TestExitCodes:
     def test_feature_deeper_than_any_type_is_usage(self, sim_dir):
         assert run("explain", "--data", sim_dir, "--feature", "FA9_0") == 2
 
-    def test_h_below_feature_depth_is_usage(self, sim_dir):
-        assert run("explain", "--data", sim_dir, "--feature", "FA3_0", "--h", 2) == 2
+    def test_explain_takes_no_h(self, tmp_path, capsys):
+        # The depth comes from the feature names; --h is no explain flag.
+        assert run("explain", "--data", tmp_path / "nope", "--feature", "FA3_0", "--h", 3) == 2
+        assert "unrecognized arguments: --h 3" in capsys.readouterr().err
+
+    def test_distance_across_depths_is_usage(self, tmp_path, capsys):
+        # Decided from the names alone, before any data is read.
+        assert run("explain", "--data", tmp_path / "nope", "--feature", "FA2_3",
+                   "--distance-to", "FG1_0") == 2
+        assert "--distance-to needs a feature of depth 2, not 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, prefixed",
+        [
+            (["types", "--data", "nope"], ["--meth", "A3"]),
+            (["featurize", "--data", "nope", "--out", "f.csv"], ["--meth", "A3"]),
+            (["gram", "--data", "nope", "--out", "g.csv"], ["--norm"]),
+            (["simulate", *map(str, SIM_ARGS), "--out", "sim"], ["--ball", "5"]),
+            (["xval", "--data", "nope"], ["--rep", "2"]),
+            (["compare", "a.json", "b.json"], ["--alph", "0.1"]),
+            (["explain", "--data", "nope", "--feature", "FA0_0"], ["--distance", "FA0_1"]),
+        ],
+        ids=lambda x: x[0],
+    )
+    def test_flag_prefix_is_usage(self, tmp_path, monkeypatch, capsys, argv, prefixed):
+        # A unique prefix of a flag is not that flag.
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, *prefixed) == 2
+        assert "unrecognized arguments: " + " ".join(prefixed) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["types", "featurize", "gram", "simulate", "xval", "compare", "explain"]
@@ -377,6 +404,14 @@ class TestExitCodes:
             assert run("types", "--data", data / "other.json", "--h", 0) == 3
         assert not [w for w in caught if issubclass(w.category, ProvJsonWarning)]
         assert "unrecognized manifest format" in capsys.readouterr().err
+
+    def test_manifest_files_must_be_a_list(self, tmp_path, capsys):
+        data = two_class_dataset(tmp_path / "ds")
+        manifest = json.loads((data / MANIFEST_NAME).read_text(encoding="utf-8"))
+        manifest["files"] = "graphs.jsonl"
+        (data / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        assert run("types", "--data", data, "--h", 0) == 3
+        assert "manifest 'files' must be a list of file names" in capsys.readouterr().err
 
     def test_missing_report_is_a_data_error(self, tmp_path):
         assert run("compare", tmp_path / "a.json", tmp_path / "b.json") == 3

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,3 +311,10 @@ class TestCsv:
         text = gram_to_csv(gram(fm, 1, normalize=True))
         cell = text.splitlines()[1].split(",")[1]
         assert cell == "1"  # unit diagonal prints exactly
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "2/5"

@@ -78,9 +78,10 @@ class TestProvGraph:
             ("g", {"a": [["x"]]}, (), "labels must be strings"),
             ("g", {"a": {"ent"}, "1": {"ent"}}, (("a", 1, "der"),), "destination node 1"),
             ("g", {"a": {"ent"}}, (("a", "a", 5),), "unknown edge label 5"),
+            ("g", {"a": "ent"}, (), "node 'a' needs a list, tuple or set of labels"),
         ],
         ids=["int-node-id-beside-its-string", "int-graph-id", "int-label", "tuple-label",
-             "unhashable-label", "int-edge-end", "int-edge-label"],
+             "unhashable-label", "int-edge-end", "int-edge-label", "string-label-set"],
     )
     def test_non_string_fields_rejected_not_coerced(self, graph_id, nodes, edges, message):
         with pytest.raises(ValueError, match=message):
@@ -183,6 +184,13 @@ class TestDependencySubgraph:
     def test_unknown_node(self):
         with pytest.raises(KeyError):
             dependency_subgraph(g({"a": {"ent"}}, []), "zz")
+
+    def test_result_equals_the_checked_build(self):
+        rng = random.Random(11)
+        for i in range(60):
+            graph = random_graph(rng, f"g{i}")
+            sub = dependency_subgraph(graph, rng.choice(sorted(graph.nodes)))
+            assert sub == ProvGraph(sub.graph_id, dict(sub.nodes), list(sub.edges))
 
 
 def test_graph_summary_counts_multilabels():

@@ -10,7 +10,6 @@ from provkit.svm import (
     ConvergenceWarning,
     OvrSvm,
     smo_solve,
-    svm_predict,
     svm_train,
 )
 
@@ -25,7 +24,7 @@ def test_separable_line_is_learned_exactly():
     k = linear_gram(pts)
     labels = ["neg", "neg", "pos", "pos"]
     model = svm_train(k, labels, C=10.0, tol=1e-6)
-    assert svm_predict(model, k) == labels
+    assert model.predict(k) == labels
 
 
 def test_three_clusters_ovr():
@@ -39,7 +38,7 @@ def test_three_clusters_ovr():
     k = linear_gram(pts)
     model = svm_train(k, labels, C=5.0, tol=1e-6)
     assert model.classes == ("a", "b", "c")
-    assert svm_predict(model, k) == labels
+    assert model.predict(k) == labels
 
 
 def test_tie_goes_to_lowest_class():
@@ -50,7 +49,7 @@ def test_tie_goes_to_lowest_class():
     mid = np.array([[0.0, 0.0]])
     scores = model.decision_matrix(mid)
     assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-9)
-    assert svm_predict(model, mid) == ["a"]
+    assert model.predict(mid) == ["a"]
 
 
 def test_c_zero_degenerates_to_constant_class():
@@ -60,7 +59,7 @@ def test_c_zero_degenerates_to_constant_class():
         assert np.all(sub.alpha == 0.0)
         assert sub.b == 0.0
         assert sub.n_iter == 0
-    assert svm_predict(model, k) == ["x"] * 4
+    assert model.predict(k) == ["x"] * 4
 
 
 def test_single_class_rejected():
@@ -114,7 +113,7 @@ def test_duplicated_point_leaves_decision_function_alone():
 def test_all_zero_kernel_trains_and_predicts_constant():
     k = np.zeros((6, 6))
     model = svm_train(k, ["a", "b", "a", "b", "a", "b"], C=1.0)
-    preds = svm_predict(model, np.zeros((4, 6)))
+    preds = model.predict(np.zeros((4, 6)))
     assert len(set(preds)) == 1
 
 
