@@ -136,7 +136,7 @@ def wl_gram(
     degree = np.bincount(family.src, minlength=len(colors))
     first = np.cumsum(degree) - degree  # each source's first edge position
     buckets = []
-    for d in np.unique(degree).tolist():
+    for d in np.flatnonzero(np.bincount(degree)).tolist():  # the distinct degrees, ascending
         nodes = np.flatnonzero(degree == d)
         buckets.append((nodes, first[nodes, None] + np.arange(d)))
     blocks = [_counts(owner, colors, len(family), width)]

@@ -13,6 +13,7 @@ label-mode letters to the library.
 Outputs are staged to temporary files and renamed into place after the
 command succeeds, so interrupted runs do not leave partial artifacts.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
+Warnings go to stderr as one ``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -409,6 +411,12 @@ def _run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # The message names what it is about; a source location in provkit
+    # says nothing about the input or the command line.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -416,7 +424,9 @@ def main(argv=None) -> int:
         _resolve(parser, args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return _run(args)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(args)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .model import Dataset
-from .svm import svm_train
+from .svm import BinarySvm, OvrSvm, smo_lockstep
+from .svm import svm_train  # noqa: F401  (perfbench/workloads.py patches mlpipe.svm_train)
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def _fold_assignment(
 ) -> np.ndarray:
     n = len(labels)
     folds = np.empty(n, dtype=np.int64)
-    counts = {cls: int((labels == cls).sum()) for cls in np.unique(labels)}
+    counts = {cls: int((labels == cls).sum()) for cls in sorted(set(labels.tolist()))}
     if min(counts.values()) < k:
         warnings.warn(
             f"smallest class has {min(counts.values())} members, fewer than k={k}; "
@@ -126,8 +127,12 @@ def repeated_kfold(
 ) -> CvReport:
     """Repeated stratified k-fold CV of a kernel SVM on a precomputed Gram.
 
-    Returns per-fold accuracies in (repeat, fold) order.  ``threads`` is
-    accepted for compatibility and has no effect.
+    Every one-vs-rest problem of every repeat and fold is one row of a
+    single ``smo_lockstep`` call over the whole Gram, with the fold's test
+    points left out (label 0); no training kernel is copied.  Each fold is
+    then predicted from its test-vs-training kernel rows.  Returns per-fold
+    accuracies in (repeat, fold) order, the same bits as training each fold
+    on its own.  ``threads`` is accepted for compatibility and has no effect.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     arr = np.array([str(x) for x in labels])
@@ -139,15 +144,27 @@ def repeated_kfold(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     children = np.random.SeedSequence(seed).spawn(repeats)
-    accuracies = []
+    splits, rows = [], []  # (train, test, classes, first row) per repeat x fold; label rows
     for r in range(repeats):
         folds = _fold_assignment(arr, k, np.random.default_rng(children[r]))
         for f in range(k):
-            test = np.flatnonzero(folds == f)
             train = np.flatnonzero(folds != f)
-            model = svm_train(kernel[np.ix_(train, train)], arr[train], C=C)
-            pred = model.predict(kernel[np.ix_(test, train)])
-            accuracies.append(float(np.mean(np.array(pred) == arr[test])))
+            classes = tuple(sorted(set(arr[train].tolist())))
+            if len(classes) < 2:
+                raise ValueError("training requires at least two classes")
+            splits.append((train, np.flatnonzero(folds == f), classes, len(rows)))
+            rows += [np.where(folds == f, 0.0, np.where(arr == cls, 1.0, -1.0)) for cls in classes]
+    y = np.array(rows)
+    alpha, b, n_iter, ok, _ = smo_lockstep(kernel, y, C)
+    accuracies = []
+    for train, test, classes, first in splits:
+        models = tuple(
+            BinarySvm(alpha=alpha[p, train], y=y[p, train], b=float(b[p]),
+                      n_iter=int(n_iter[p]), converged=bool(ok[p]))
+            for p in range(first, first + len(classes))
+        )
+        pred = OvrSvm(classes, models).predict(kernel[np.ix_(test, train)])
+        accuracies.append(float(np.mean(np.array(pred) == arr[test])))
     return CvReport.from_accuracies(accuracies, featurize_seconds)
 
 

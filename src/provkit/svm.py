@@ -7,11 +7,17 @@ The binary solver is sequential minimal optimization on the dual problem
 with Q_ij = y_i y_j K_ij.  Working pairs are chosen by the maximal-violating
 rule with a second-order gain heuristic for the partner index (WSS-2 of Fan,
 Chen & Lin, JMLR 2005), ties going to the lowest index; convergence is
-declared when the maximal KKT violation drops to ``tol``.  Each iteration
-writes into buffers allocated once per solve and updates the working sets
-only at the two indices whose multipliers moved.  Multiclass problems train
-one-vs-rest and predict by argmax of decision values, with ties resolved
-toward the lowest class in sorted order.
+declared when the maximal KKT violation drops to ``tol``.
+
+``smo_lockstep`` is the one solver.  It steps many binary problems over one
+shared Gram together, each problem a row of +1/-1 labels in which 0 leaves a
+point out, so the cross-validation folds and one-vs-rest classes of a whole
+run are solved in one call without copying a training kernel per fold.
+Every row takes exactly the steps, and ends with exactly the bits, of a
+plain one-problem SMO loop on its training points alone (that loop is the
+test oracle); a row that has converged leaves the state arrays.
+Multiclass problems train one-vs-rest and predict by argmax of decision
+values, with ties resolved toward the lowest class in sorted order.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ import numpy as np
 
 class ConvergenceWarning(UserWarning):
     pass
+
+
+#: Signs of the working pair's moves: alpha_i + y_i*delta, alpha_j - y_j*delta.
+_PAIR_SIGN = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -50,6 +60,173 @@ class BinarySvm:
         return k_rows @ self.dual_coef + self.b
 
 
+def smo_lockstep(
+    kernel: np.ndarray,
+    labels: np.ndarray,
+    C: float,
+    tol: float = 1e-3,
+    max_iter: int = 200_000,
+    *,
+    trace: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[list[float]] | None]:
+    """Solve P binary duals over one N x N Gram together, one SMO step each per pass.
+
+    ``labels`` is (P, N): +1 and -1 put a point in that problem's training
+    set, 0 leaves it out.  Returns per-problem (alpha (P, N), bias (P,),
+    iterations (P,), converged (P,), objective traces); a left-out point
+    keeps alpha 0.  The traces are kept only with ``trace``, else None.
+    Every problem steps as a one-problem SMO loop would on a Gram cut down
+    to its training points.  Warns once per call with the number of
+    problems stopped at ``max_iter``.
+    """
+    k = np.asarray(kernel, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError(f"labels must be a (problems, points) matrix, not shape {y.shape}")
+    n_rows, n = y.shape
+    if k.shape != (n, n):
+        raise ValueError(f"kernel shape {k.shape} does not match {n} labels")
+    if not ((y == 0.0) | (np.abs(y) == 1.0)).all():
+        raise ValueError("labels must be +1, -1 or 0")
+    if C < 0:
+        raise ValueError("C must be >= 0")
+    alpha = np.zeros((n_rows, n))
+    bias = np.zeros(n_rows)
+    n_iter = np.zeros(n_rows, dtype=np.int64)
+    converged = np.ones(n_rows, dtype=bool)
+    if C == 0:
+        return alpha, bias, n_iter, converged, [[0.0] for _ in range(n_rows)] if trace else None
+    C = float(C)
+    diag = np.diagonal(k).copy()  # contiguous: read whole every pass
+    # -y*grad is kept only in two score matrices: on I_up (-inf elsewhere)
+    # and on I_low (+inf elsewhere).  A left-out point is in neither, so it
+    # is never picked.  At alpha = 0 the score is y.
+    up = np.where(y > 0, 1.0, -np.inf)
+    low = np.where(y < 0, -1.0, np.inf)
+    rows = np.arange(n_rows)  # the problem behind each row of up/low
+    objective = np.zeros(n_rows)
+    vio_buf, curv_buf = np.empty((n_rows, n)), np.empty((n_rows, n))
+    # history[s, p] is problem p's objective after its step s + 1; it grows
+    # by doubling, so a capped solve holds at most 2 * max_iter values.
+    history = np.empty((min(max_iter, 1024) if trace else 0, n_rows))
+
+    def settle(done: np.ndarray, ok: bool) -> None:
+        for p, u, lo in zip(rows[done].tolist(), up[done], low[done]):
+            bias[p] = _bias(y[p], u, lo)
+        n_iter[rows[done]] = it
+        converged[rows[done]] = ok
+
+    it = 0
+    while len(rows) and it < max_iter:
+        it += 1
+        i = up.argmax(axis=1)  # first index of the maximum
+        m = up[np.arange(len(rows)), i]
+        # An empty I_up or I_low makes the gap -inf, so such a row stops
+        # here, converged, as a one-problem loop stops on it.
+        done = m - low.min(axis=1) <= tol
+        if done.any():
+            settle(done, True)
+            keep = ~done
+            rows, up, low, objective, i, m = (x[keep] for x in (rows, up, low, objective, i, m))
+            if not len(rows):
+                break
+        at = np.arange(len(rows))
+        vio, curv = vio_buf[: len(rows)], curv_buf[: len(rows)]
+        # Curvature K_ii + K_tt - 2 K_it against every t, floored.
+        np.take(k, i, axis=0, out=curv, mode="clip")
+        np.multiply(curv, 2.0, out=curv)
+        np.copyto(vio, diag)
+        np.add(vio, diag[i][:, None], out=vio)
+        np.subtract(vio, curv, out=curv)
+        np.fmax(curv, 1e-12, out=curv)
+        # Second-order partner: maximize violation^2 / curvature among the
+        # points of I_low with a positive violation.  Those gains are >= 0;
+        # every other point scores -1 (a masked copy costs a branch per
+        # element), so a row whose best score is negative has converged.
+        np.subtract(m[:, None], low, out=vio)
+        invalid = vio <= 0.0
+        np.maximum(vio, 0.0, out=vio)
+        np.multiply(vio, vio, out=vio)
+        np.divide(vio, curv, out=vio)
+        np.subtract(vio, invalid, out=vio)
+        j = vio.argmax(axis=1)
+        no_partner = vio[at, j] < 0.0
+        # Step delta moves alpha_i by +y_i*delta and alpha_j by -y_j*delta:
+        # column t of the (rows, 2) pair arrays moves by move_t*delta.
+        pair = np.stack((i, j), axis=1)
+        y_pair, a_pair = y[rows[:, None], pair], alpha[rows[:, None], pair]
+        move = y_pair * _PAIR_SIGN
+        a = curv[at, j]
+        d = low[at, j] - m  # y_i*grad_i - y_j*grad_j
+        lo = np.where(move > 0, -a_pair, a_pair - C).max(axis=1)
+        hi = np.where(move > 0, C - a_pair, a_pair).min(axis=1)
+        delta = np.minimum(np.maximum(-d / a, lo), hi)
+        done = no_partner | (delta == 0.0)
+        if done.any():
+            settle(done, True)
+            keep = ~done
+            rows, up, low, objective, pair, y_pair, a_pair, move, a, d, delta = (
+                x[keep] for x in (rows, up, low, objective, pair, y_pair, a_pair, move, a, d, delta))
+            at = np.arange(len(rows))
+        ki, kj = vio_buf[: len(rows)], curv_buf[: len(rows)]  # free once j is picked
+        np.take(k, pair[:, 0], axis=0, out=ki, mode="clip")
+        np.take(k, pair[:, 1], axis=0, out=kj, mode="clip")
+        np.subtract(ki, kj, out=ki)
+        np.multiply(ki, delta[:, None], out=ki)
+        np.subtract(up, ki, out=up)
+        np.subtract(low, ki, out=low)
+        value = np.minimum(np.maximum(a_pair + move * delta[:, None], 0.0), C)
+        alpha[rows[:, None], pair] = value
+        at = at[:, None]
+        score = up[at, pair]
+        score = np.where(score > -np.inf, score, low[at, pair])
+        below_c, above_0 = value < C, value > 0
+        up[at, pair] = np.where(np.where(y_pair > 0, below_c, above_0), score, -np.inf)
+        low[at, pair] = np.where(np.where(y_pair > 0, above_0, below_c), score, np.inf)
+        objective = objective + (d * delta + 0.5 * a * delta * delta)
+        if trace:
+            if it > len(history):
+                history = np.concatenate((history, np.empty_like(history)))
+            history[it - 1, rows] = objective
+    if len(rows):
+        settle(np.ones(len(rows), dtype=bool), False)
+        warnings.warn(
+            f"SMO stopped at the iteration cap in {len(rows)} of {n_rows} solves "
+            f"(max_iter={max_iter}, tol={tol})",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    if not trace:
+        return alpha, bias, n_iter, converged, None
+    # A problem steps on every pass but a converged one's last.
+    steps = (n_iter - converged).tolist()
+    traces = [[0.0] + history[:s, p].tolist() for p, s in enumerate(steps)]
+    return alpha, bias, n_iter, converged, traces
+
+
+def _bias(y: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
+    """One problem's bias from its final scores: the midpoint of its two
+    KKT bounds, or the one bound it has."""
+    in_up, in_low = up > -np.inf, low < np.inf
+
+    def neg_yg(scores: np.ndarray, member: np.ndarray) -> np.ndarray:
+        # The scores are -y*grad up to the signs of zeros.  A gradient
+        # accumulated from -1 never holds -0.0, so adding 0.0 to -y*score
+        # restores them, and the bias matches a one-problem loop's bits.
+        y_m = y[member]
+        return -y_m * (-y_m * scores[member] + 0.0)
+
+    if in_up.any() and in_low.any():
+        b = 0.5 * (neg_yg(up, in_up).max() + neg_yg(low, in_low).min())
+    elif in_up.any():
+        b = neg_yg(up, in_up).max()
+    elif in_low.any():
+        b = neg_yg(low, in_low).min()
+    else:
+        b = 0.0
+    return float(b)
+
+
 def smo_solve(
     kernel: np.ndarray,
     y: np.ndarray,
@@ -57,112 +234,10 @@ def smo_solve(
     tol: float = 1e-3,
     max_iter: int = 200_000,
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Solve the binary dual; returns (alpha, bias, iterations, converged, objective trace)."""
-    k = np.asarray(kernel, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    if k.shape != (n, n):
-        raise ValueError(f"kernel shape {k.shape} does not match {n} labels")
-    if C < 0:
-        raise ValueError("C must be >= 0")
-    if C == 0:
-        return np.zeros(n), 0.0, 0, True, [0.0]
-    C = float(C)
-    grad = -np.ones(n)  # Q a - e at a = 0
-    diag = np.diagonal(k).copy()
-    neg_y = -y
-    y_list = y.tolist()
-    alpha = [0.0] * n
-    # Only alpha_i and alpha_j move per step, so the working-set masks are
-    # updated at i and j alone.  The score buffers hold -y*grad on I_up
-    # (-inf elsewhere) and on I_low (+inf elsewhere).
-    up = y > 0
-    low = ~up
-    n_up, n_low = int(up.sum()), int(low.sum())
-    up_score = np.full(n, -np.inf)
-    low_score = np.full(n, np.inf)
-    neg_yg, vio, curv, gain, step, diff = (np.empty(n) for _ in range(6))
-    valid = np.empty(n, dtype=bool)
-    objective = 0.0
-    history = [0.0]
-    it = 0
-    converged = False
-    while it < max_iter:
-        it += 1
-        if not n_up or not n_low:
-            converged = True
-            break
-        np.multiply(neg_y, grad, out=neg_yg)
-        np.copyto(up_score, neg_yg, where=up)
-        np.copyto(low_score, neg_yg, where=low)
-        i = int(up_score.argmax())  # first index of the maximum
-        m = up_score[i]
-        if m - low_score[low_score.argmin()] <= tol:
-            converged = True
-            break
-        k_i = k[i]
-        # Second-order partner: maximize violation^2 / curvature among I_low.
-        np.subtract(m, low_score, out=vio)
-        np.greater(vio, 0.0, out=valid)
-        np.add(diag[i], diag, out=curv)
-        np.multiply(2.0, k_i, out=step)
-        np.subtract(curv, step, out=curv)
-        np.fmax(curv, 1e-12, out=curv)
-        np.multiply(vio, vio, out=vio)
-        np.divide(vio, curv, out=vio)
-        gain.fill(-np.inf)
-        np.copyto(gain, vio, where=valid)
-        j = int(gain.argmax())
-        if gain[j] == -np.inf:  # no valid partner
-            converged = True
-            break
-        # Step delta moves alpha_i by +y_i*delta and alpha_j by -y_j*delta.
-        y_i, y_j = y_list[i], y_list[j]
-        a_i, a_j = alpha[i], alpha[j]
-        a = float(curv[j])
-        d = y_i * float(grad[i]) - y_j * float(grad[j])
-        delta = -d / a
-        lo_i, hi_i = ((-a_i, C - a_i) if y_i > 0 else (a_i - C, a_i))
-        lo_j, hi_j = ((a_j - C, a_j) if y_j > 0 else (-a_j, C - a_j))
-        lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-        delta = min(max(delta, lo), hi)
-        if delta == 0.0:
-            converged = True
-            break
-        for t, y_t, value in ((i, y_i, a_i + y_i * delta), (j, y_j, a_j - y_j * delta)):
-            value = alpha[t] = min(max(value, 0.0), C)
-            now_up = value < C if y_t > 0 else value > 0
-            now_low = value > 0 if y_t > 0 else value < C
-            n_up += now_up - bool(up[t])
-            n_low += now_low - bool(low[t])
-            up[t], low[t] = now_up, now_low
-            if not now_up:
-                up_score[t] = -np.inf
-            if not now_low:
-                low_score[t] = np.inf
-        np.multiply(delta, y, out=step)
-        np.subtract(k_i, k[j], out=diff)
-        np.multiply(step, diff, out=step)
-        grad += step
-        objective += d * delta + 0.5 * a * delta * delta
-        history.append(objective)
-    else:
-        warnings.warn(
-            f"SMO hit the iteration cap ({max_iter}) before reaching tol={tol}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    alpha = np.array(alpha)
-    np.multiply(neg_y, grad, out=neg_yg)
-    if n_up and n_low:
-        b = 0.5 * (neg_yg[up].max() + neg_yg[low].min())
-    elif n_up:
-        b = float(neg_yg[up].max())
-    elif n_low:
-        b = float(neg_yg[low].min())
-    else:
-        b = 0.0
-    return alpha, float(b), it, converged, history
+    """Solve one binary dual; returns (alpha, bias, iterations, converged, objective trace)."""
+    alpha, b, n_iter, ok, traces = smo_lockstep(
+        kernel, np.asarray(y, dtype=np.float64)[None], C, tol, max_iter, trace=True)
+    return alpha[0], float(b[0]), int(n_iter[0]), bool(ok[0]), traces[0]
 
 
 @dataclass
@@ -193,11 +268,12 @@ def svm_train(
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("training requires at least two classes")
-    k = np.asarray(kernel, dtype=np.float64)
-    models = []
     arr = np.array(labels)
-    for cls in classes:
-        y = np.where(arr == cls, 1.0, -1.0)
-        alpha, b, it, ok, _ = smo_solve(k, y, C, tol, max_iter)
-        models.append(BinarySvm(alpha=alpha, y=y, b=b, n_iter=it, converged=ok))
-    return OvrSvm(classes=classes, models=tuple(models))
+    y = np.where(arr == np.array(classes)[:, None], 1.0, -1.0)
+    alpha, b, n_iter, ok, _ = smo_lockstep(kernel, y, C, tol, max_iter)
+    models = tuple(
+        BinarySvm(alpha=alpha[c], y=y[c], b=float(b[c]),
+                  n_iter=int(n_iter[c]), converged=bool(ok[c]))
+        for c in range(len(classes))
+    )
+    return OvrSvm(classes=classes, models=models)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +18,7 @@ import pytest
 
 import provkit
 from conftest import random_family
+from provkit import mlpipe, svm
 from provkit.cli import build_parser, main
 from provkit.mlpipe import balance_undersample, compare_reports, repeated_kfold
 from provkit.model import Dataset, GraphFamily, ProvGraph
@@ -128,6 +131,20 @@ class TestTypes:
         assert run("types", "--data", path, "--h", 1) == 0
         records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert {r["node"] for r in records} == {"e1", "a1"}
+
+
+    def test_warning_is_one_line_without_a_source_location(self, tmp_path, capsys):
+        doc = {
+            "entity": {"e1": {}},
+            "used": {"_:u1": {"prov:activity": "a1", "prov:entity": "e1"}},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("types", "--data", path, "--h", 1) == 0
+        warned = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("wrote ")]
+        assert len(warned) == 1
+        assert warned[0].startswith("warning:") and "auto-declared" in warned[0]
+        assert ".py:" not in warned[0]
 
 
 class TestFeaturize:
@@ -243,6 +260,19 @@ class TestXval:
         assert report() == report(*spelled)
         # The pair is not equal by accident: another seed gives another report.
         assert report() != report("--seed", 1)
+
+
+    def test_iteration_cap_is_reported_once_with_the_count(self, tmp_path, monkeypatch, capsys):
+        family = random_family(random.Random(4), 44, max_nodes=8, max_edges=14)
+        labels = {gid: "ab"[i % 2] for i, gid in enumerate(family.graph_ids)}
+        save_internal(Dataset(family, labels), tmp_path / "ds")
+        monkeypatch.setattr(mlpipe, "smo_lockstep", functools.partial(svm.smo_lockstep, max_iter=3))
+        assert run("xval", "--data", tmp_path / "ds", "--method", "A1", "--repeats", 2,
+                   "--out", tmp_path / "r.json") == 0
+        warned = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        assert len(warned) == 1
+        assert re.fullmatch(r"warning: SMO stopped at the iteration cap in [1-9]\d* of 40 solves "
+                            r"\(max_iter=3, tol=0\.001\)", warned[0])
 
 
 class TestCompare:
@@ -399,11 +429,12 @@ class TestExitCodes:
         if tag is not None:
             manifest["format"] = tag
         (data / "other.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             assert run("types", "--data", data / "other.json", "--h", 0) == 3
-        assert not [w for w in caught if issubclass(w.category, ProvJsonWarning)]
-        assert "unrecognized manifest format" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warning:" not in err  # not read as PROV-JSON, so nothing skipped
+        assert "unrecognized manifest format" in err
 
     def test_manifest_files_must_be_a_list(self, tmp_path, capsys):
         data = two_class_dataset(tmp_path / "ds")

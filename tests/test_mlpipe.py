@@ -20,6 +20,7 @@ from provkit.mlpipe import (
     mannwhitney_u,
     repeated_kfold,
 )
+from provkit.svm import svm_train
 from provkit.model import Dataset, GraphFamily, ProvGraph
 from provkit.pgsim import SimParams, generate_dataset
 from provkit.storage import dataset_texts, save_internal
@@ -302,6 +303,65 @@ class TestRepeatedKfold:
             repeated_kfold(block_kernel(labels), labels, k=1)
         with pytest.raises(ValueError):
             repeated_kfold(block_kernel(labels), labels, k=7)
+
+
+def _reference_repeated_kfold(kernel, labels, k, repeats, C, seed):
+    """One SVM per fold, trained on a copy of that fold's training kernel.
+
+    Independent oracle for ``repeated_kfold``, which solves every fold's
+    problems together over the whole Gram and must agree with it bit for bit.
+    """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    arr = np.array([str(x) for x in labels])
+    children = np.random.SeedSequence(seed).spawn(repeats)
+    accuracies = []
+    for r in range(repeats):
+        folds = _fold_assignment(arr, k, np.random.default_rng(children[r]))
+        for f in range(k):
+            test = np.flatnonzero(folds == f)
+            train = np.flatnonzero(folds != f)
+            model = svm_train(kernel[np.ix_(train, train)], arr[train], C=C)
+            pred = model.predict(kernel[np.ix_(test, train)])
+            accuracies.append(float(np.mean(np.array(pred) == arr[test])))
+    return accuracies
+
+
+@pytest.mark.parametrize(
+    "n, n_classes, k, repeats, C, normalize",
+    [
+        (23, 2, 5, 3, 1.0, True),     # n not divisible by k
+        (40, 4, 4, 2, 1.0, True),
+        (37, 4, 10, 2, 0.5, False),   # some class below k: unstratified folds
+        (30, 2, 3, 2, 100.0, False),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_repeated_kfold_matches_per_fold_reference(n, n_classes, k, repeats, C, normalize, seed):
+    rng = np.random.default_rng(seed)
+    labels = [f"c{i % n_classes}" for i in range(n)]
+    rng.shuffle(labels)
+    # Count features that lean toward each graph's class, so folds learn something.
+    x = rng.integers(0, 3, size=(n, 6)) + np.array(
+        [[2 * (int(c[1:]) == col % n_classes) for col in range(6)] for c in labels])
+    kernel = (x @ x.T).astype(np.float64)
+    if normalize:
+        kernel /= np.sqrt(np.outer(np.diagonal(kernel), np.diagonal(kernel)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the unstratified fallback
+        got = repeated_kfold(kernel, labels, k=k, repeats=repeats, C=C, seed=seed)
+        want = _reference_repeated_kfold(kernel, labels, k, repeats, C, seed)
+    assert list(got.accuracies) == want
+
+
+def test_fold_without_two_training_classes_is_rejected():
+    labels = ["a"] * 5 + ["b"]
+    kernel = np.eye(6) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the unstratified fallback
+        with pytest.raises(ValueError, match="at least two classes"):
+            _reference_repeated_kfold(kernel, labels, 6, 1, 1.0, 0)
+        with pytest.raises(ValueError, match="at least two classes"):
+            repeated_kfold(kernel, labels, k=6, repeats=1)
 
 
 class TestCompare:

@@ -9,6 +9,7 @@ from provkit.svm import (
     BinarySvm,
     ConvergenceWarning,
     OvrSvm,
+    smo_lockstep,
     smo_solve,
     svm_train,
 )
@@ -260,3 +261,105 @@ def test_smo_matches_reference_bit_for_bit(problem):
     assert [w.category for w in got_warned] == [w.category for w in want_warned]
     assert all(w.category is ConvergenceWarning for w in got_warned)
 
+
+
+@st.composite
+def lockstep_batches(draw):
+    """A batch of problems over one PSD Gram: random exclusion masks,
+    one-sided and all-excluded rows, several bounds, caps and tolerances."""
+    n = draw(st.integers(1, 16))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    x = np.array(rows, dtype=np.int64)
+    k = (x @ x.T).astype(np.float64)
+    if draw(st.booleans()):
+        diag = np.diagonal(k).copy()
+        diag[diag == 0] = 1.0
+        k = k / np.sqrt(np.outer(diag, diag))
+    y = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+        shape = draw(st.sampled_from(["mixed", "one-sided", "all-excluded"]))
+        if shape == "one-sided":
+            row[:] = row[0]
+        if shape == "all-excluded":
+            row[:] = 0.0
+        else:
+            row[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+        y.append(row)
+    C = draw(st.sampled_from([0, 1e-3, 1, 100]))
+    max_iter = draw(st.sampled_from([3, 200_000]))
+    # A negative tolerance never stops on the gap, so rows end on "no
+    # partner" or at the cap; the cap is kept low for the serial oracle.
+    tol = draw(st.sampled_from([1e-3, -1.0]))
+    if tol < 0:
+        max_iter = min(max_iter, 60)
+    return k, np.array(y), C, tol, max_iter
+
+
+@given(lockstep_batches())
+@settings(max_examples=200, deadline=None)
+def test_lockstep_rows_match_reference_on_their_training_points(batch):
+    k, y, C, tol, max_iter = batch
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        alpha, b, n_iter, converged, traces = smo_lockstep(k, y, C, tol, max_iter, trace=True)
+    capped = 0
+    for p, row in enumerate(y):
+        idx = np.flatnonzero(row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            want = _reference_smo(k[np.ix_(idx, idx)], row[idx], C, tol, max_iter)
+        assert alpha[p][idx].tobytes() == want[0].tobytes()
+        assert alpha[p][row == 0].tobytes() == np.zeros(len(row) - len(idx)).tobytes()
+        assert b[p] == want[1] and np.signbit(b[p]) == np.signbit(want[1])
+        assert (n_iter[p], converged[p]) == want[2:4]
+        assert traces[p] == want[4]
+        capped += not want[3]
+    assert [w.category for w in got_warned] == [ConvergenceWarning] * bool(capped)
+    if capped:
+        assert f"in {capped} of {len(y)} solves" in str(got_warned[0].message)
+
+
+def test_lockstep_keeps_objective_traces_only_when_asked():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 3))
+    y = np.where(rng.random((4, 30)) < 0.5, 1.0, -1.0)
+    y[:, ::5] = 0.0
+    plain = smo_lockstep(x @ x.T, y, 1.0)
+    traced = smo_lockstep(x @ x.T, y, 1.0, trace=True)
+    assert plain[4] is None
+    for got, want in zip(plain[:4], traced[:4]):
+        assert got.tobytes() == want.tobytes()
+    steps = traced[2] - traced[3]  # a converged problem's last pass takes no step
+    assert [len(t) - 1 for t in traced[4]] == steps.tolist()
+
+
+def test_lockstep_rejects_labels_outside_plus_minus_one_and_zero():
+    with pytest.raises(ValueError, match="must be"):
+        smo_lockstep(np.eye(2), np.array([[1.0, 2.0]]), C=1.0)
+    with pytest.raises(ValueError, match="matrix"):
+        smo_lockstep(np.eye(2), np.array([1.0, -1.0]), C=1.0)
+
+
+def test_capped_training_warns_once_with_the_count():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 3))
+    labels = ["a", "b", "c", "d"] * 10
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = svm_train(x @ x.T, labels, C=10.0, max_iter=3)
+    capped = sum(not m.converged for m in model.models)
+    assert capped > 1
+    assert len(caught) == 1 and caught[0].category is ConvergenceWarning
+    assert f"SMO stopped at the iteration cap in {capped} of 4 solves" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("y", [[1.0, -1.0], [-1.0, 1.0]])
+def test_zero_bias_keeps_the_serial_sign(y):
+    # One step lands both gradients on exactly 0, so the bias is a signed zero.
+    want = _reference_smo(np.eye(2), np.array(y), C=10.0)
+    got = smo_solve(np.eye(2), np.array(y), C=10.0)
+    assert got[1] == want[1] == 0.0
+    assert np.signbit(got[1]) == np.signbit(want[1])
