@@ -34,14 +34,10 @@ from .mlpipe import (
 )
 from .model import (
     EDGE_KINDS,
-    EDGE_LABELS,
     GENERIC_LABELS,
     Dataset,
     GraphFamily,
     ProvGraph,
-    dependency_subgraph,
-    graph_summary,
-    validate_labels,
 )
 from .pgsim import MODES, TEAMS, SimParams, generate_dataset, simulate_run
 from .provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
@@ -54,7 +50,6 @@ from .typeinf import (
     dump_types,
     enumerate_label_walks,
     infer_types,
-    is_extension,
     type_from_walks,
 )
 
@@ -63,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EMPTY",
     "EDGE_KINDS",
-    "EDGE_LABELS",
     "GENERIC_LABELS",
     "MODES",
     "TEAMS",
@@ -85,7 +79,6 @@ __all__ = [
     "balance_undersample",
     "build_universe",
     "compare_reports",
-    "dependency_subgraph",
     "distance_report",
     "dump_types",
     "eh_gram",
@@ -95,10 +88,8 @@ __all__ = [
     "generate_dataset",
     "gram",
     "gram_to_csv",
-    "graph_summary",
     "hamming_distance",
     "infer_types",
-    "is_extension",
     "kernel_value",
     "load_family",
     "load_internal",
@@ -111,7 +102,6 @@ __all__ = [
     "smo_solve",
     "svm_train",
     "type_from_walks",
-    "validate_labels",
     "vh_gram",
     "wl_colorings",
     "wl_gram",

@@ -12,7 +12,8 @@ label-mode letters to the library.
 
 Outputs are staged to temporary files and renamed into place after the
 command succeeds, so interrupted runs do not leave partial artifacts.
-Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
+Exit codes: 0 success, 2 usage error, 3 data error (a refused overflow
+included), 4 internal error.
 Warnings go to stderr as one ``warning: <message>`` line each.
 """
 
@@ -51,7 +52,6 @@ from .storage import dataset_texts, load_dataset
 from .typeinf import PType, TypeAssignment, dump_types, infer_types
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
@@ -398,7 +398,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         _HANDLERS[args.command](args, sink)
         written = sink.commit()
-    except (DataFormatError, OSError, ValueError) as exc:
+    except (DataFormatError, OSError, OverflowError, ValueError) as exc:
         sink.discard()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import DataFormatError
 from .typeinf import PType, TypeAssignment
 
 
@@ -201,7 +202,7 @@ def _count_gram(x: np.ndarray, graph_ids: tuple[str, ...], normalize: bool) -> G
     diag = np.diagonal(values).astype(np.float64)
     if np.any(diag <= 0):
         bad = graph_ids[int(np.argmin(diag))]
-        raise ValueError(f"cannot normalize: graph {bad!r} has zero self-kernel")
+        raise DataFormatError(f"cannot normalize: graph {bad!r} has zero self-kernel")
     scale = np.sqrt(np.outer(diag, diag))
     return GramMatrix(graph_ids, values.astype(np.float64) / scale, True)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import json
 from array import array
-from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -43,8 +42,6 @@ EDGE_KINDS: dict[str, tuple[str, str]] = {
     "wifb": ("act", "act"),  # wasInformedBy
 }
 
-EDGE_LABELS = frozenset(EDGE_KINDS)
-
 #: Edge labels in sorted order; a family's edge-label codes index this tuple.
 EDGE_LABEL_ORDER: tuple[str, ...] = tuple(sorted(EDGE_KINDS))
 _EDGE_CODE = {lab: code for code, lab in enumerate(EDGE_LABEL_ORDER)}
@@ -63,6 +60,8 @@ def read_json(path: str | Path):
         return json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataFormatError(f"no such file: {p}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{p}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
 
@@ -316,8 +315,8 @@ class GraphFamily:
 
         ``"application"`` mode sees every label, so these are ``label_sets``
         and ``node_sets``.  ``"generic"`` mode sees only generic labels; a
-        node left without one is a ``ValueError`` naming the first such node
-        in family order.
+        node left without one is a :class:`DataFormatError` naming the first
+        such node in family order.
         """
         if label_mode == "application":
             return self.label_sets, self.node_sets
@@ -328,18 +327,10 @@ class GraphFamily:
         node_sets = lut[self.node_sets]
         if frozenset() in ids:
             v = int(np.argmax(node_sets == ids[frozenset()]))
-            raise ValueError(
+            raise DataFormatError(
                 f"node {self.node_ids[v]!r} has no generic label; cannot strip to generic mode"
             )
         return tuple(ids), node_sets
-
-    @property
-    def node_label_universe(self) -> frozenset[str]:
-        return frozenset().union(*self.label_sets)
-
-    @property
-    def application_label_universe(self) -> frozenset[str]:
-        return self.node_label_universe - GENERIC_LABELS
 
 
 def _label_fault(nid: str, labels: frozenset) -> str | None:
@@ -392,66 +383,3 @@ class Dataset:
     def labels_in_family_order(self) -> list[str]:
         return [self.class_labels[gid] for gid in self.family.graph_ids]
 
-
-def validate_labels(graph: ProvGraph) -> list[str]:
-    """Advisory conformance check of edges against the PROV relation table.
-
-    Returns one human-readable advisory string per edge whose endpoint kinds
-    do not include the kinds expected for its label.  The check never
-    rejects: callers decide what to do with the advisories.
-    """
-    advisories = []
-    for src, dst, lab in graph.edges:
-        want_src, want_dst = EDGE_KINDS[lab]
-        if want_src not in graph.nodes[src]:
-            advisories.append(
-                f"edge ({src}, {dst}, {lab}): source lacks expected kind {want_src!r}"
-            )
-        if want_dst not in graph.nodes[dst]:
-            advisories.append(
-                f"edge ({src}, {dst}, {lab}): destination lacks expected kind {want_dst!r}"
-            )
-    return advisories
-
-
-def dependency_subgraph(graph: ProvGraph, node: str) -> ProvGraph:
-    """The induced subgraph of everything that can reach ``node``.
-
-    Keeps ``node`` itself plus every node with a directed walk to it, along
-    with all edges among the kept nodes.
-    """
-    if node not in graph.nodes:
-        raise KeyError(f"unknown node {node!r}")
-    preds: dict[str, list[str]] = {}
-    for src, dst, _ in graph.edges:
-        preds.setdefault(dst, []).append(src)
-    keep = {node}
-    queue = deque([node])
-    while queue:
-        cur = queue.popleft()
-        for p in preds.get(cur, ()):
-            if p not in keep:
-                keep.add(p)
-                queue.append(p)
-    # The kept nodes and the edges among them, filtered in order, are
-    # already valid and canonical.
-    nodes = {nid: labels for nid, labels in graph.nodes.items() if nid in keep}
-    edges = tuple(e for e in graph.edges if e[0] in keep and e[1] in keep)
-    return ProvGraph._canonical(graph.graph_id, nodes, edges)
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    n_nodes: int
-    n_edges: int
-    node_labels: dict[str, int]
-    edge_labels: dict[str, int]
-
-
-def graph_summary(graph: ProvGraph) -> GraphSummary:
-    """Node/edge counts plus per-label frequency histograms."""
-    node_hist: Counter[str] = Counter()
-    for labels in graph.nodes.values():
-        node_hist.update(labels)
-    edge_hist = Counter(lab for _, _, lab in graph.edges)
-    return GraphSummary(graph.n_nodes, graph.n_edges, dict(node_hist), dict(edge_hist))

@@ -155,13 +155,16 @@ def _read_graph_file(path: Path, labels: dict[str, str]) -> Iterator[tuple[str, 
     if not path.exists():
         raise DataFormatError(f"missing graph file: {path}")
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            gid, labels[gid], nodes, edges = _record_fields(record)
-            yield gid, nodes, edges
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                gid, labels[gid], nodes, edges = _record_fields(record)
+                yield gid, nodes, edges
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -188,10 +188,6 @@ class TypeAssignment:
         code = int(self.codes[depth][v])
         return self.types[depth][code] if code >= 0 else EMPTY
 
-    def nodes(self, graph_id: str) -> list[str]:
-        lo, hi = self._spans[graph_id]
-        return list(self.family.node_ids[lo:hi])
-
     def node_at(self, v: int) -> tuple[str, str]:
         """The (graph id, node id) pair of union node ``v``."""
         return self.graph_ids[int(self.family.graph_of[v])], self.family.node_ids[v]
@@ -212,18 +208,6 @@ class TypeAssignment:
             gid: dict(zip(self.family.node_ids[lo:hi], islice(per_node, hi - lo)))
             for gid, (lo, hi) in self._spans.items()
         }
-
-    def iter_records(self) -> Iterator[dict]:
-        """Dump records: one per (graph, node, depth), layers sorted."""
-        for gid, per_node in self.by_graph.items():
-            for nid, types in per_node.items():
-                for depth, t in enumerate(types):
-                    yield {
-                        "graph": gid,
-                        "node": nid,
-                        "depth": depth,
-                        "type": t.to_jsonable(),
-                    }
 
 
 def _classify(rows: np.ndarray, decode) -> tuple[tuple[PType, ...], np.ndarray]:
@@ -320,30 +304,15 @@ def infer_types(family: GraphFamily, h: int, label_mode: str = "application") ->
     return TypeAssignment(label_mode, h, family, tuple(types), tuple(codes))
 
 
-def is_extension(deep: PType, shallow: PType) -> bool:
-    """Whether ``deep`` refines ``shallow``: lower layers coincide exactly.
-
-    Requires ``deep.depth > shallow.depth`` and neither argument EMPTY.
-    """
-    if deep.is_empty or shallow.is_empty:
-        raise ValueError("EMPTY types cannot take part in extension checks")
-    if deep.depth <= shallow.depth:
-        raise ValueError(
-            f"extension requires a strictly deeper first argument "
-            f"(got {deep.depth} vs {shallow.depth})"
-        )
-    for i in range(shallow.depth + 1):
-        if deep.layers[-(i + 1)] != shallow.layers[-(i + 1)]:
-            return False
-    return True
-
-
 def dump_types(assignment: TypeAssignment) -> str:
     """Serialize an assignment as JSON lines (one record per node and depth).
 
-    Each line equals ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-    of the matching :meth:`TypeAssignment.iter_records` record; every distinct
-    type and id is encoded once.
+    Lines run graph by graph, node by node in family order, and depth
+    ``0..h_max`` within a node.  Each is the compact sorted-key JSON object
+    ``{"depth":d,"graph":gid,"node":nid,"type":layers}``, where ``layers``
+    is :meth:`PType.to_jsonable` of the node's type: its layers as sorted
+    label lists, or ``null`` for EMPTY.  Every distinct type and id is
+    encoded once.
     """
     compact = (",", ":")
     tables = [

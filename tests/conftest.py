@@ -1,11 +1,12 @@
 """Shared helpers: seeded random graph generation for property tests, the
-generic-mode view of a graph, and the walk oracle over every depth."""
+generic-mode view of a graph, the walk oracle over every depth, and reads of
+a family's labels and edge kinds."""
 
 from __future__ import annotations
 
 import random
 
-from provkit.model import EDGE_LABELS, GraphFamily, ProvGraph
+from provkit.model import EDGE_KINDS, EDGE_LABEL_ORDER, GENERIC_LABELS, GraphFamily, ProvGraph
 from provkit.typeinf import LabelWalk, PType, type_from_walks
 
 GENERIC = ["ent", "act", "ag"]
@@ -29,9 +30,8 @@ def random_graph(
             labels.add(rng.choice(APP_LABELS))
         nodes[nid] = frozenset(labels)
     m = rng.randint(0, max_edges)
-    edge_labels = sorted(EDGE_LABELS)
     edges = tuple(
-        (rng.choice(ids), rng.choice(ids), rng.choice(edge_labels)) for _ in range(m)
+        (rng.choice(ids), rng.choice(ids), rng.choice(EDGE_LABEL_ORDER)) for _ in range(m)
     )
     return ProvGraph(graph_id, nodes, edges)
 
@@ -48,6 +48,24 @@ def generic_graph(graph: ProvGraph) -> ProvGraph:
     sets, node_sets = family.label_sets_in("generic")
     nodes = dict(zip(family.node_ids, map(sets.__getitem__, node_sets.tolist())))
     return ProvGraph(graph.graph_id, nodes, graph.edges)
+
+
+def application_labels(family: GraphFamily) -> frozenset[str]:
+    """Every node label in ``family`` that is not a generic label."""
+    return frozenset().union(*family.label_sets) - GENERIC_LABELS
+
+
+def kind_mismatches(family: GraphFamily) -> list[tuple[str, str, str]]:
+    """The ``(source, destination, label)`` edges of ``family`` whose source
+    or destination lacks the node kind that ``EDGE_KINDS`` gives the label."""
+    sets = [family.label_sets[k] for k in family.node_sets.tolist()]
+    out = []
+    for s, d, code in zip(family.src.tolist(), family.dst.tolist(), family.edge_labels.tolist()):
+        lab = EDGE_LABEL_ORDER[code]
+        want_src, want_dst = EDGE_KINDS[lab]
+        if want_src not in sets[s] or want_dst not in sets[d]:
+            out.append((family.node_ids[s], family.node_ids[d], lab))
+    return out
 
 
 def walk_oracle_types(graph: ProvGraph, h: int) -> dict[str, tuple[PType, ...]]:

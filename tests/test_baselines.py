@@ -12,7 +12,7 @@ from conftest import random_family
 from provkit.baselines import eh_gram, vh_gram, wl_colorings, wl_gram
 from provkit.fixtures import pattern_fixtures
 from provkit.kernel import GramMatrix, _count_gram, build_universe, featurize, gram, gram_to_csv
-from provkit.model import EDGE_LABELS, GENERIC_LABELS, GraphFamily, ProvGraph
+from provkit.model import EDGE_LABEL_ORDER, GENERIC_LABELS, DataFormatError, GraphFamily, ProvGraph
 from provkit.typeinf import PType, infer_types
 
 
@@ -74,6 +74,8 @@ def test_generic_mode_names_first_node_without_generic_label(name, mode, msg):
     with pytest.raises(ValueError) as err:
         _BY_LABEL_MODE[name](fam, mode)
     assert str(err.value) == msg
+    # A node without a generic label is a fault of the data; an unknown mode is not.
+    assert isinstance(err.value, DataFormatError) == (mode == "generic")
     assert wl_gram(fam, 2).values.tolist() == [[6, 0], [0, 6]]
 
 
@@ -144,7 +146,7 @@ def wl_families(draw):
         edges = []
         if ids:
             node = st.sampled_from(ids)
-            edges = draw(st.lists(st.tuples(node, node, st.sampled_from(sorted(EDGE_LABELS))),
+            edges = draw(st.lists(st.tuples(node, node, st.sampled_from(EDGE_LABEL_ORDER)),
                                   max_size=14))
             edges += edges[: draw(st.integers(0, len(edges)))]
             edges += [(s, d, "spe") for s, d, _ in edges[: draw(st.integers(0, len(edges)))]]
@@ -189,7 +191,7 @@ def test_wl_gram_matches_colorings_oracle(fam, mode, normalize):
     empty = np.any(np.diff(fam.node_offsets) == 0)
     for h in range(5):
         if normalize and empty:
-            with pytest.raises(ValueError, match="zero self-kernel"):
+            with pytest.raises(DataFormatError, match="zero self-kernel"):
                 wl_gram(fam, h, mode, normalize)
             continue
         want = oracle_wl_gram(fam, h, mode, normalize)

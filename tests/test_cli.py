@@ -447,6 +447,30 @@ class TestExitCodes:
     def test_missing_report_is_a_data_error(self, tmp_path):
         assert run("compare", tmp_path / "a.json", tmp_path / "b.json") == 3
 
+    @pytest.mark.parametrize("name, data", [
+        ("bad.json", b'\xff{"entity": {}}'),
+        ("bad.jsonl", b'{"edges":[],"id":"g0","label":"x","nodes":[{"id":"n\xff","labels":["ent"]}]}\n'),
+    ], ids=["json", "jsonl"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, name, data):
+        (tmp_path / name).write_bytes(data)
+        assert run("types", "--data", tmp_path / name, "--out", tmp_path / "t.jsonl") == 3
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and name in errors[0] and "not valid UTF-8" in errors[0]
+        assert not list(tmp_path.glob(".*.part"))
+
+    def test_overflow_refusal_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        import provkit.cli as cli
+
+        def refuse(*args, **kwargs):
+            # No family whose counts overflow int64 fits in memory.
+            raise OverflowError("exact 64-bit kernel accumulation could overflow for this family")
+
+        monkeypatch.setattr(cli, "gram", refuse)
+        data = two_class_dataset(tmp_path / "ds")
+        assert run("gram", "--data", data, "--h", 0, "--out", tmp_path / "g.csv") == 3
+        assert capsys.readouterr().err.startswith("error: exact 64-bit kernel accumulation")
+        assert not list(tmp_path.glob(".*.part"))
+
 
 class TestStaging:
     def test_failed_command_leaves_no_outputs(self, tmp_path):

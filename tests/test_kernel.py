@@ -144,11 +144,7 @@ class TestHamming:
         rng = random.Random(seed)
         fam = random_family(rng, 3, max_nodes=10, max_edges=25)
         assignment = infer_types(fam, 2, "application")
-        pool = [
-            assignment.get(gid, nid, 2)
-            for gid in assignment.graph_ids
-            for nid in assignment.nodes(gid)
-        ]
+        pool = [assignment.get(*assignment.node_at(v), 2) for v in range(len(fam.node_ids))]
         pool = [x for x in pool if x is not EMPTY]
         if len(pool) < 3:
             return

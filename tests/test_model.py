@@ -11,19 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_graph, random_family, random_graph
+from conftest import generic_graph, kind_mismatches, random_family, random_graph
 from provkit.cli import main
-from provkit.fixtures import admission_fixture
 from provkit.model import (
     EDGE_KINDS,
-    EDGE_LABELS,
+    EDGE_LABEL_ORDER,
     Dataset,
     GraphFamily,
     ProvGraph,
-    dependency_subgraph,
-    graph_summary,
     read_json,
-    validate_labels,
 )
 from provkit.provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
 from provkit.storage import (
@@ -143,67 +139,6 @@ def test_read_json_reports_the_file(tmp_path):
         read_json(bad)
 
 
-class TestValidate:
-    def test_clean_graph_has_no_advisories(self):
-        assert validate_labels(admission_fixture()) == []
-
-    def test_kind_mismatch_reported(self):
-        graph = g({"a": {"act"}, "b": {"act"}}, [("a", "b", "use")])
-        out = validate_labels(graph)
-        assert len(out) == 1 and "destination" in out[0]
-
-    def test_never_rejects(self):
-        rng = random.Random(0)
-        graph = random_graph(rng)
-        advisories = validate_labels(graph)
-        assert isinstance(advisories, list)
-
-
-class TestDependencySubgraph:
-    def test_chain(self):
-        graph = g(
-            {"a": {"ent"}, "b": {"ent"}, "c": {"ent"}, "d": {"ent"}},
-            [("a", "b", "der"), ("b", "c", "der"), ("d", "a", "alt")],
-        )
-        sub = dependency_subgraph(graph, "c")
-        assert set(sub.nodes) == {"a", "b", "c", "d"}
-        sub2 = dependency_subgraph(graph, "b")
-        assert set(sub2.nodes) == {"a", "b", "d"}
-        assert sub2.n_edges == 2
-
-    def test_source_only(self):
-        graph = g({"a": {"ent"}, "b": {"ent"}}, [("a", "b", "der")])
-        sub = dependency_subgraph(graph, "a")
-        assert set(sub.nodes) == {"a"} and sub.n_edges == 0
-
-    def test_cycle_includes_node_itself(self):
-        graph = g({"a": {"ent"}, "b": {"ent"}}, [("a", "b", "der"), ("b", "a", "der")])
-        sub = dependency_subgraph(graph, "a")
-        assert set(sub.nodes) == {"a", "b"} and sub.n_edges == 2
-
-    def test_unknown_node(self):
-        with pytest.raises(KeyError):
-            dependency_subgraph(g({"a": {"ent"}}, []), "zz")
-
-    def test_result_equals_the_checked_build(self):
-        rng = random.Random(11)
-        for i in range(60):
-            graph = random_graph(rng, f"g{i}")
-            sub = dependency_subgraph(graph, rng.choice(sorted(graph.nodes)))
-            assert sub == ProvGraph(sub.graph_id, dict(sub.nodes), list(sub.edges))
-
-
-def test_graph_summary_counts_multilabels():
-    graph = g(
-        {"a": {"ent", "x:P"}, "b": {"act"}},
-        [("a", "b", "gen"), ("a", "b", "gen")],
-    )
-    s = graph_summary(graph)
-    assert (s.n_nodes, s.n_edges) == (2, 2)
-    assert s.node_labels == {"ent": 1, "x:P": 1, "act": 1}
-    assert s.edge_labels == {"gen": 2}
-
-
 class TestProvJson:
     def test_single_entity(self):
         graph = load_provjson({"entity": {"e1": {}}}, graph_id="d")
@@ -295,7 +230,7 @@ class TestProvJson:
         }
         graph = load_provjson(doc, graph_id="d")
         assert graph.n_edges == 12
-        assert validate_labels(graph) == []
+        assert kind_mismatches(GraphFamily((graph,))) == []
 
     @pytest.mark.parametrize("value", [True, 3, {"$": 3}, ["x:A", None]])
     def test_non_string_prov_type_rejected(self, tmp_path, value):
@@ -491,7 +426,7 @@ def shuffled_graphs(draw):
             for nid in ids
         }
         edges = draw(st.lists(st.tuples(
-            st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(sorted(EDGE_LABELS)),
+            st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(EDGE_LABEL_ORDER),
         ), max_size=12)) if ids else []
         edges += edges[: draw(st.integers(0, len(edges)))]
         graphs.append(ProvGraph(

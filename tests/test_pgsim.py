@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import application_labels, kind_mismatches
 from provkit import pgsim
-from provkit.model import ProvGraph, validate_labels
+from provkit.model import GraphFamily, ProvGraph
 from provkit.pgsim import (
     APPLICATION_LABELS,
     MODES,
@@ -114,8 +115,7 @@ class TestSimulation:
         assert a != b
 
     def test_graphs_are_advisory_clean(self):
-        for g in simulate_run(SimParams(**TINY), 0):
-            assert validate_labels(g) == []
+        assert kind_mismatches(GraphFamily(simulate_run(SimParams(**TINY), 0))) == []
 
     def test_states_chain_by_derivation(self):
         g = max(simulate_run(SimParams(**TINY), 0), key=lambda g: len(g.nodes))
@@ -313,11 +313,11 @@ class TestDataset:
     def test_label_schema_declared_and_respected(self):
         ds = generate_dataset(SimParams(**TINY))
         assert ds.meta["application_labels"] == list(APPLICATION_LABELS)
-        assert ds.family.application_label_universe <= set(APPLICATION_LABELS)
+        assert application_labels(ds.family) <= set(APPLICATION_LABELS)
 
     def test_targeting_mode_never_disposes(self):
         ds = generate_dataset(SimParams(mode="targeting", **TINY))
-        assert "pg:Disposing" not in ds.family.application_label_universe
+        assert "pg:Disposing" not in application_labels(ds.family)
 
     def test_disposal_mode_valor_never_disposes(self):
         params = SimParams(

@@ -19,7 +19,6 @@ from provkit.typeinf import (
     dump_types,
     enumerate_label_walks,
     infer_types,
-    is_extension,
     type_from_walks,
 )
 
@@ -85,7 +84,8 @@ class TestAdmissionFixtureGolden:
         shallow = assignment.get("admission", "patient7_0", 1)
         assert deep == t({"der"}, {"spe"}, {"ent"})
         assert shallow == t({"spe"}, {"ent"})
-        assert is_extension(deep, shallow)
+        # Extension: the deeper type's lower layers are the shallower type's.
+        assert deep.layers[-len(shallow.layers):] == shallow.layers
 
     def test_person_has_no_walks(self):
         assignment = infer_types(GraphFamily((self.graph,)), 3, "generic")
@@ -108,24 +108,6 @@ class TestTypeFromWalks:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             type_from_walks([walk(("gen",), {"ent"}), walk((), {"ent"})], 1)
-
-
-class TestExtension:
-    def test_requires_strictly_deeper(self):
-        a = t({"spe"}, {"ent"})
-        with pytest.raises(ValueError):
-            is_extension(a, a)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            is_extension(EMPTY, t({"ent"}))
-        with pytest.raises(ValueError):
-            is_extension(t({"spe"}, {"ent"}), EMPTY)
-
-    def test_mismatched_lower_layer(self):
-        deep = t({"der"}, {"gen"}, {"ent"})
-        shallow = t({"use"}, {"ent"})
-        assert not is_extension(deep, shallow)
 
 
 def oracle_assignment(graph, h, label_mode):
@@ -245,7 +227,7 @@ def wide_family(rng: random.Random) -> GraphFamily:
 @settings(max_examples=30, deadline=None)
 def test_family_inference_matches_walk_oracle(seed, h, mode):
     family = wide_family(random.Random(seed))
-    assert len(family.node_label_universe) > 63
+    assert len(frozenset().union(*family.label_sets)) > 63
     assignment = infer_types(family, h, mode)
     fm = featurize(assignment, build_universe(assignment))
     for graph in family:
@@ -288,13 +270,22 @@ def awkward_families(draw):
     return GraphFamily(tuple(graphs))
 
 
+def dump_records(assignment):
+    """The spec of ``dump_types``: one record per (graph, node, depth), in
+    family order, with the type's layers as sorted label lists."""
+    for gid, per_node in assignment.by_graph.items():
+        for nid, types in per_node.items():
+            for depth, typ in enumerate(types):
+                yield {"graph": gid, "node": nid, "depth": depth, "type": typ.to_jsonable()}
+
+
 @given(awkward_families(), st.integers(0, 3), st.sampled_from(["generic", "application"]))
 @settings(max_examples=40, deadline=None)
 def test_dump_bytes_equal_per_record_json(family, h, mode):
     assignment = infer_types(family, h, mode)
     want = "".join(
         json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-        for r in assignment.iter_records()
+        for r in dump_records(assignment)
     )
     assert dump_types(assignment) == want
     assert want.count("\n") == sum(g.n_nodes for g in family) * (h + 1)
