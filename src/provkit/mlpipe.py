@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .model import Dataset
-from .svm import BinarySvm, OvrSvm, smo_lockstep
+from .svm import OvrSvm, smo_lockstep
 from .svm import svm_train  # noqa: F401  (perfbench/workloads.py patches mlpipe.svm_train)
 
 
@@ -156,14 +156,12 @@ def repeated_kfold(
             rows += [np.where(folds == f, 0.0, np.where(arr == cls, 1.0, -1.0)) for cls in classes]
     y = np.array(rows)
     alpha, b, n_iter, ok, _ = smo_lockstep(kernel, y, C)
+    coef = alpha * y
     accuracies = []
     for train, test, classes, first in splits:
-        models = tuple(
-            BinarySvm(alpha=alpha[p, train], y=y[p, train], b=float(b[p]),
-                      n_iter=int(n_iter[p]), converged=bool(ok[p]))
-            for p in range(first, first + len(classes))
-        )
-        pred = OvrSvm(classes, models).predict(kernel[np.ix_(test, train)])
+        rows = slice(first, first + len(classes))
+        model = OvrSvm(classes, coef[rows][:, train], b[rows], n_iter[rows], ok[rows])
+        pred = model.predict(kernel[np.ix_(test, train)])
         accuracies.append(float(np.mean(np.array(pred) == arr[test])))
     return CvReport.from_accuracies(accuracies, featurize_seconds)
 

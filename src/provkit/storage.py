@@ -166,5 +166,11 @@ def _read_graph_file(path: Path, labels: dict[str, str]) -> Iterator[tuple[str, 
                     raise DataFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
                 gid, labels[gid], nodes, edges = _record_fields(record)
                 yield gid, nodes, edges
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+        except UnicodeDecodeError:
+            # The decoder's position is within its 8 KiB chunk: find the line.
+            for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
+            raise

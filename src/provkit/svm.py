@@ -36,30 +36,6 @@ class ConvergenceWarning(UserWarning):
 _PAIR_SIGN = np.array([1.0, -1.0])
 
 
-@dataclass
-class BinarySvm:
-    """One binary dual solution over a fixed training kernel."""
-
-    alpha: np.ndarray
-    y: np.ndarray
-    b: float
-    n_iter: int
-    converged: bool
-
-    @property
-    def dual_coef(self) -> np.ndarray:
-        return self.alpha * self.y
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.alpha > 1e-12)
-
-    def decision(self, k_rows: np.ndarray) -> np.ndarray:
-        """Decision values for rows of test-vs-training kernel values."""
-        k_rows = np.atleast_2d(np.asarray(k_rows, dtype=np.float64))
-        return k_rows @ self.dual_coef + self.b
-
-
 def smo_lockstep(
     kernel: np.ndarray,
     labels: np.ndarray,
@@ -104,10 +80,10 @@ def smo_lockstep(
     up = np.where(y > 0, 1.0, -np.inf)
     low = np.where(y < 0, -1.0, np.inf)
     rows = np.arange(n_rows)  # the problem behind each row of up/low
-    objective = np.zeros(n_rows)
     vio_buf, curv_buf = np.empty((n_rows, n)), np.empty((n_rows, n))
-    # history[s, p] is problem p's objective after its step s + 1; it grows
-    # by doubling, so a capped solve holds at most 2 * max_iter values.
+    # history[s, p] is problem p's objective after its step s + 1 (a live
+    # row has stepped on every pass); it grows by doubling, so a capped
+    # solve holds at most 2 * max_iter values.
     history = np.empty((min(max_iter, 1024) if trace else 0, n_rows))
 
     def settle(done: np.ndarray, ok: bool) -> None:
@@ -127,7 +103,7 @@ def smo_lockstep(
         if done.any():
             settle(done, True)
             keep = ~done
-            rows, up, low, objective, i, m = (x[keep] for x in (rows, up, low, objective, i, m))
+            rows, up, low, i, m = (x[keep] for x in (rows, up, low, i, m))
             if not len(rows):
                 break
         at = np.arange(len(rows))
@@ -165,8 +141,8 @@ def smo_lockstep(
         if done.any():
             settle(done, True)
             keep = ~done
-            rows, up, low, objective, pair, y_pair, a_pair, move, a, d, delta = (
-                x[keep] for x in (rows, up, low, objective, pair, y_pair, a_pair, move, a, d, delta))
+            rows, up, low, pair, y_pair, a_pair, move, a, d, delta = (
+                x[keep] for x in (rows, up, low, pair, y_pair, a_pair, move, a, d, delta))
             at = np.arange(len(rows))
         ki, kj = vio_buf[: len(rows)], curv_buf[: len(rows)]  # free once j is picked
         np.take(k, pair[:, 0], axis=0, out=ki, mode="clip")
@@ -183,11 +159,11 @@ def smo_lockstep(
         below_c, above_0 = value < C, value > 0
         up[at, pair] = np.where(np.where(y_pair > 0, below_c, above_0), score, -np.inf)
         low[at, pair] = np.where(np.where(y_pair > 0, above_0, below_c), score, np.inf)
-        objective = objective + (d * delta + 0.5 * a * delta * delta)
         if trace:
             if it > len(history):
                 history = np.concatenate((history, np.empty_like(history)))
-            history[it - 1, rows] = objective
+            objective = history[it - 2, rows] if it > 1 else 0.0
+            history[it - 1, rows] = objective + (d * delta + 0.5 * a * delta * delta)
     if len(rows):
         settle(np.ones(len(rows), dtype=bool), False)
         warnings.warn(
@@ -242,14 +218,19 @@ def smo_solve(
 
 @dataclass
 class OvrSvm:
-    """One-vs-rest ensemble over sorted class names."""
+    """One-vs-rest ensemble over sorted class names: row ``c`` of each array is
+    ``smo_lockstep``'s class ``c`` against the rest, ``dual_coef = alpha * y``."""
 
     classes: tuple[str, ...]
-    models: tuple[BinarySvm, ...]
+    dual_coef: np.ndarray
+    bias: np.ndarray
+    n_iter: np.ndarray
+    converged: np.ndarray
 
     def decision_matrix(self, k_rows: np.ndarray) -> np.ndarray:
         k_rows = np.atleast_2d(np.asarray(k_rows, dtype=np.float64))
-        return np.column_stack([m.decision(k_rows) for m in self.models])
+        # One product per class: a single GEMM for all could round differently.
+        return np.column_stack([k_rows @ coef + b for coef, b in zip(self.dual_coef, self.bias)])
 
     def predict(self, k_rows: np.ndarray) -> list[str]:
         scores = self.decision_matrix(k_rows)
@@ -271,9 +252,4 @@ def svm_train(
     arr = np.array(labels)
     y = np.where(arr == np.array(classes)[:, None], 1.0, -1.0)
     alpha, b, n_iter, ok, _ = smo_lockstep(kernel, y, C, tol, max_iter)
-    models = tuple(
-        BinarySvm(alpha=alpha[c], y=y[c], b=float(b[c]),
-                  n_iter=int(n_iter[c]), converged=bool(ok[c]))
-        for c in range(len(classes))
-    )
-    return OvrSvm(classes=classes, models=models)
+    return OvrSvm(classes, alpha * y, b, n_iter, ok)

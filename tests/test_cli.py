@@ -340,6 +340,12 @@ class TestExplain:
         assert run("explain", "--data", data, "--feature", "FA0_99") == 3
 
 
+def _record(i: int, node_id: bytes) -> bytes:
+    """One JSONL graph record, as raw bytes, with a one-node graph."""
+    head = b'{"edges":[],"id":"g%d","label":"x","nodes":[{"id":"' % i
+    return head + node_id + b'","labels":["ent"]}]}\n'
+
+
 class TestExitCodes:
     def test_unknown_flag(self, tmp_path):
         assert run("gram", "--data", tmp_path, "--bogus") == 2
@@ -447,15 +453,18 @@ class TestExitCodes:
     def test_missing_report_is_a_data_error(self, tmp_path):
         assert run("compare", tmp_path / "a.json", tmp_path / "b.json") == 3
 
-    @pytest.mark.parametrize("name, data", [
-        ("bad.json", b'\xff{"entity": {}}'),
-        ("bad.jsonl", b'{"edges":[],"id":"g0","label":"x","nodes":[{"id":"n\xff","labels":["ent"]}]}\n'),
-    ], ids=["json", "jsonl"])
-    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, name, data):
+    @pytest.mark.parametrize("name, data, where", [
+        ("bad.json", b'\xff{"entity": {}}', "bad.json: "),
+        ("bad.jsonl", _record(0, b"n\xff"), "bad.jsonl:1: "),
+        # Past the text decoder's first 8 KiB chunk, whose offsets name no line.
+        ("bad.jsonl", _record(0, b"n" * 5000) + _record(1, b"n" * 5000) + _record(2, b"n\xff"),
+         "bad.jsonl:3: "),
+    ], ids=["json", "jsonl", "jsonl-line3"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, name, data, where):
         (tmp_path / name).write_bytes(data)
         assert run("types", "--data", tmp_path / name, "--out", tmp_path / "t.jsonl") == 3
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert len(errors) == 1 and name in errors[0] and "not valid UTF-8" in errors[0]
+        assert len(errors) == 1 and f"{where}not valid UTF-8" in errors[0]
         assert not list(tmp_path.glob(".*.part"))
 
     def test_overflow_refusal_is_a_data_error(self, tmp_path, monkeypatch, capsys):

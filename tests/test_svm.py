@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provkit.svm import (
-    BinarySvm,
     ConvergenceWarning,
     OvrSvm,
     smo_lockstep,
@@ -56,10 +55,9 @@ def test_tie_goes_to_lowest_class():
 def test_c_zero_degenerates_to_constant_class():
     k = linear_gram([[1.0], [2.0], [3.0], [4.0]])
     model = svm_train(k, ["x", "y", "x", "y"], C=0.0)
-    for sub in model.models:
-        assert np.all(sub.alpha == 0.0)
-        assert sub.b == 0.0
-        assert sub.n_iter == 0
+    assert np.all(model.dual_coef == 0.0)
+    assert np.all(model.bias == 0.0)
+    assert np.all(model.n_iter == 0)
     assert model.predict(k) == ["x"] * 4
 
 
@@ -121,11 +119,23 @@ def test_all_zero_kernel_trains_and_predicts_constant():
 def test_support_and_dual_coef_shapes():
     pts = [[-2.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 1.0]]
     model = svm_train(linear_gram(pts), ["n", "n", "p", "p"], C=1.0, tol=1e-8)
-    sub = model.models[0]
-    assert isinstance(sub, BinarySvm)
-    assert sub.dual_coef.shape == (4,)
-    assert set(sub.support).issubset(range(4))
     assert isinstance(model, OvrSvm)
+    assert model.dual_coef.shape == (2, 4)
+    support = np.flatnonzero(np.abs(model.dual_coef[0]) > 1e-12)
+    assert set(support).issubset(range(4))
+
+
+def test_decision_columns_are_the_binary_solutions_bit_for_bit():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(24, 3))
+    k = x @ x.T
+    labels = np.array(["a", "b", "c"] * 8)
+    model = svm_train(k, labels, C=1.0)
+    scores = model.decision_matrix(k)
+    for c, cls in enumerate(model.classes):
+        y = np.where(labels == cls, 1.0, -1.0)
+        alpha, b, _, _, _ = smo_solve(k, y, C=1.0)
+        assert scores[:, c].tobytes() == (k @ (alpha * y) + b).tobytes()
 
 
 def test_kernel_shape_mismatch_rejected():
@@ -350,7 +360,7 @@ def test_capped_training_warns_once_with_the_count():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = svm_train(x @ x.T, labels, C=10.0, max_iter=3)
-    capped = sum(not m.converged for m in model.models)
+    capped = int((~model.converged).sum())
     assert capped > 1
     assert len(caught) == 1 and caught[0].category is ConvergenceWarning
     assert f"SMO stopped at the iteration cap in {capped} of 4 solves" in str(caught[0].message)
