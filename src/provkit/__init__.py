@@ -7,102 +7,77 @@ feature vectors, Gram matrices and a type metric, ``baselines`` provides
 the vertex/edge histogram and Weisfeiler-Lehman reference kernels,
 ``pgsim`` generates the synthetic player dataset, ``mlpipe`` and ``svm``
 run the SVM cross-validation harness, and ``cli`` fronts it all.
+
+``import provkit`` loads no submodule: each public name is imported from
+its module on first access (PEP 562), so ``provkit.cli`` starts without
+the modules its subcommand does not run.
 """
 
-from .baselines import eh_gram, vh_gram, wl_colorings, wl_gram
-from .kernel import (
-    FeatureMatrix,
-    GramMatrix,
-    StaleUniverseError,
-    TypeUniverse,
-    build_universe,
-    distance_report,
-    featurize,
-    features_to_csv,
-    gram,
-    gram_to_csv,
-    hamming_distance,
-    kernel_value,
-    retrieve_instances,
-)
-from .mlpipe import (
-    CvReport,
-    balance_undersample,
-    compare_reports,
-    mannwhitney_u,
-    repeated_kfold,
-)
-from .model import (
-    EDGE_KINDS,
-    GENERIC_LABELS,
-    Dataset,
-    GraphFamily,
-    ProvGraph,
-)
-from .pgsim import MODES, TEAMS, SimParams, generate_dataset, simulate_run
-from .provjson import DataFormatError, ProvJsonWarning, load_family, load_provjson
-from .storage import load_internal, save_internal
-from .svm import ConvergenceWarning, OvrSvm, smo_solve, svm_train
-from .typeinf import (
-    EMPTY,
-    PType,
-    TypeAssignment,
-    dump_types,
-    enumerate_label_walks,
-    infer_types,
-    type_from_walks,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EMPTY",
-    "EDGE_KINDS",
-    "GENERIC_LABELS",
-    "MODES",
-    "TEAMS",
-    "ConvergenceWarning",
-    "CvReport",
-    "DataFormatError",
-    "Dataset",
-    "FeatureMatrix",
-    "GramMatrix",
-    "GraphFamily",
-    "OvrSvm",
-    "ProvGraph",
-    "ProvJsonWarning",
-    "PType",
-    "SimParams",
-    "StaleUniverseError",
-    "TypeAssignment",
-    "TypeUniverse",
-    "balance_undersample",
-    "build_universe",
-    "compare_reports",
-    "distance_report",
-    "dump_types",
-    "eh_gram",
-    "enumerate_label_walks",
-    "featurize",
-    "features_to_csv",
-    "generate_dataset",
-    "gram",
-    "gram_to_csv",
-    "hamming_distance",
-    "infer_types",
-    "kernel_value",
-    "load_family",
-    "load_internal",
-    "load_provjson",
-    "mannwhitney_u",
-    "repeated_kfold",
-    "retrieve_instances",
-    "save_internal",
-    "simulate_run",
-    "smo_solve",
-    "svm_train",
-    "type_from_walks",
-    "vh_gram",
-    "wl_colorings",
-    "wl_gram",
-]
+#: The one table of public names, by the module that defines them.
+_EXPORTS = {
+    "baselines": ("eh_gram", "vh_gram", "wl_colorings", "wl_gram"),
+    "kernel": (
+        "FeatureMatrix",
+        "GramMatrix",
+        "StaleUniverseError",
+        "TypeUniverse",
+        "build_universe",
+        "distance_report",
+        "featurize",
+        "features_to_csv",
+        "gram",
+        "gram_to_csv",
+        "hamming_distance",
+        "kernel_value",
+        "retrieve_instances",
+    ),
+    "mlpipe": (
+        "CvReport",
+        "balance_undersample",
+        "compare_reports",
+        "mannwhitney_u",
+        "repeated_kfold",
+    ),
+    "model": (
+        "EDGE_KINDS",
+        "GENERIC_LABELS",
+        "DataFormatError",
+        "Dataset",
+        "GraphFamily",
+        "ProvGraph",
+    ),
+    "pgsim": ("MODES", "TEAMS", "SimParams", "generate_dataset", "simulate_run"),
+    "provjson": ("ProvJsonWarning", "load_family", "load_provjson"),
+    "storage": ("load_internal", "save_internal"),
+    "svm": ("ConvergenceWarning", "OvrSvm", "smo_solve", "svm_train"),
+    "typeinf": (
+        "EMPTY",
+        "PType",
+        "TypeAssignment",
+        "dump_types",
+        "enumerate_label_walks",
+        "infer_types",
+        "type_from_walks",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -15,6 +15,10 @@ command succeeds, so interrupted runs do not leave partial artifacts.
 Exit codes: 0 success, 2 usage error, 3 data error (a refused overflow
 included), 4 internal error.
 Warnings go to stderr as one ``warning: <message>`` line each.
+
+A run imports only what its subcommand uses: the baseline kernels, the
+cross-validation harness and the simulator are imported by the handlers
+that call them.
 """
 
 from __future__ import annotations
@@ -29,10 +33,17 @@ import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+# OpenBLAS starts a worker thread per core when numpy loads, which every
+# short CLI run pays for, and no provkit path gains from a second one: the
+# Gram product is int64, which numpy computes without BLAS, and the only
+# BLAS call is the small per-fold gemv of the SVM decision values.  A value
+# the user has set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .baselines import eh_gram, vh_gram, wl_gram
 from .kernel import (
     LABEL_MODES,
     GramMatrix,
@@ -45,18 +56,18 @@ from .kernel import (
     parse_feature_name,
     retrieve_instances,
 )
-from .mlpipe import CvReport, balance_undersample, compare_reports, repeated_kfold
 from .model import DataFormatError, GraphFamily, read_json
-from .pgsim import MODES, SimParams, generate_dataset
 from .storage import dataset_texts, load_dataset
 from .typeinf import PType, TypeAssignment, dump_types, infer_types
+
+if TYPE_CHECKING:
+    from .mlpipe import CvReport
 
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 _METHOD_RE = re.compile(r"([A-Za-z])([0-5])")
-_SIM_FIELDS = frozenset(f.name for f in fields(SimParams))
 #: Characters encoded per write when staging an artifact (1 MiB).
 _WRITE_CHARS = 1 << 20
 
@@ -109,12 +120,15 @@ def _build_gram(family: GraphFamily, args: argparse.Namespace) -> tuple[GramMatr
         assign = infer_types(family, args.h, args.label_mode)
         fm = featurize(assign, build_universe(assign))
         gm = gram(fm, args.h, normalize=args.normalize)
-    elif args.kernel == "vh":
-        gm = vh_gram(family, args.label_mode, normalize=args.normalize)
-    elif args.kernel == "eh":
-        gm = eh_gram(family, normalize=args.normalize)
     else:
-        gm = wl_gram(family, args.h, args.label_mode, normalize=args.normalize)
+        from . import baselines
+
+        if args.kernel == "vh":
+            gm = baselines.vh_gram(family, args.label_mode, normalize=args.normalize)
+        elif args.kernel == "eh":
+            gm = baselines.eh_gram(family, normalize=args.normalize)
+        else:
+            gm = baselines.wl_gram(family, args.h, args.label_mode, normalize=args.normalize)
     return gm, time.perf_counter() - t0
 
 
@@ -160,12 +174,16 @@ def cmd_gram(args: argparse.Namespace, sink: _ArtifactSink) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    from .pgsim import generate_dataset
+
     ds = generate_dataset(args.sim)
     for name, text in dataset_texts(ds).items():
         sink.stage_text(Path(args.out) / name, text)
 
 
 def cmd_xval(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    from .mlpipe import balance_undersample, repeated_kfold
+
     ds = load_dataset(args.data)
     if len(set(ds.class_labels.values())) < 2:
         raise DataFormatError("cross-validation needs a dataset with at least two class labels")
@@ -183,6 +201,8 @@ def cmd_xval(args: argparse.Namespace, sink: _ArtifactSink) -> None:
 
 
 def _read_report(path: Path) -> CvReport:
+    from .mlpipe import CvReport
+
     blob = read_json(path)
     try:
         return CvReport.from_jsonable(blob)
@@ -191,6 +211,8 @@ def _read_report(path: Path) -> CvReport:
 
 
 def cmd_compare(args: argparse.Namespace, sink: _ArtifactSink) -> None:
+    from .mlpipe import compare_reports
+
     a = _read_report(args.report_a)
     b = _read_report(args.report_b)
     name_a = args.name_a or args.report_a.stem
@@ -300,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="Gram CSV path")
 
     # Flags store into SimParams fields and are left out when not given, so
-    # SimParams holds the only defaults.
+    # SimParams holds the only defaults and the only check of --mode.
     p = command(
         "simulate",
         help="generate a player-simulation dataset",
         argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--mode", required=True, help="game mode, one of provkit.MODES")
     p.add_argument("--sims", type=int, dest="n_sims", help="number of runs")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -377,8 +399,10 @@ def _resolve(parser, args) -> None:
         parser.error("threads must be >= 1")
     try:
         if args.command == "simulate":
-            given = {k: v for k, v in vars(args).items() if k in _SIM_FIELDS}
-            args.sim = SimParams(**given)
+            from .pgsim import SimParams
+
+            names = {f.name for f in fields(SimParams)}
+            args.sim = SimParams(**{k: v for k, v in vars(args).items() if k in names})
         elif args.command == "explain":
             # A depth-d type is the same at any deeper inference, so the
             # feature's own depth is how deep to infer.
@@ -398,7 +422,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         _HANDLERS[args.command](args, sink)
         written = sink.commit()
-    except (DataFormatError, OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         sink.discard()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

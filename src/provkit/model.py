@@ -185,7 +185,8 @@ class GraphFamily:
             try:  # ids of mixed types already fail the sort
                 items = sorted(node_items, key=itemgetter(0))
                 ids = list(map(itemgetter(0), items))
-                if not all(isinstance(nid, str) for nid in ids):
+                # An exact-type pass; the isinstance scan only runs for str subclasses.
+                if not set(map(type, ids)) <= {str} and not all(isinstance(nid, str) for nid in ids):
                     raise TypeError
             except TypeError:
                 raise DataFormatError(f"{fault}graph and node ids must be strings") from None

@@ -100,7 +100,7 @@ class SimParams:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {self.mode!r} (expected one of {', '.join(MODES)})")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         grid = self.grid

@@ -50,13 +50,84 @@ def two_class_dataset(path, n_a=8, n_b=8):
     return path
 
 
+def _child(*args: str, blas: str | None = None) -> str:
+    """Stdout of ``python *args`` run on this checkout's sources, with
+    OPENBLAS_NUM_THREADS set to ``blas`` (unset when None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(provkit.__file__).parents[1])
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_cli_import_loads_no_scipy():
-    env = dict(os.environ, PYTHONPATH=str(Path(provkit.__file__).parents[1]))
     code = "import sys, provkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _child("-c", code).strip() == "[]"
+
+
+#: Runs ``provkit.cli.main`` on argv, then prints the provkit modules it loaded.
+_RUN_AND_LIST = (
+    "import sys\n"
+    "from provkit.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('provkit.'))))\n"
+    "sys.exit(rc)\n"
+)
+
+
+class TestStartup:
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        code = "import sys, provkit; print([m for m in sys.modules if m.startswith(('provkit.', 'numpy'))])"
+        assert _child("-c", code).strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["featurize", "--data", "{ds}", "--out", "{tmp}/f.csv"], {"pgsim", "svm", "mlpipe", "baselines"}),
+            (["types", "--data", "{ds}", "--out", "{tmp}/t.jsonl"], {"pgsim", "svm", "mlpipe", "baselines"}),
+            (["explain", "--data", "{ds}", "--feature", "FA0_0", "--out", "{tmp}/e.json"],
+             {"pgsim", "svm", "mlpipe", "baselines"}),
+            (["gram", "--data", "{ds}", "--kernel", "pk", "--h", "1", "--out", "{tmp}/g.csv"],
+             {"pgsim", "svm", "mlpipe", "baselines"}),
+            (["compare", "{tmp}/ra.json", "{tmp}/rb.json", "--out", "{tmp}/v.json"], {"pgsim", "baselines"}),
+        ],
+        ids=["featurize", "types", "explain", "gram-pk", "compare"],
     )
-    assert out.stdout.strip() == "[]"
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        ds = two_class_dataset(tmp_path / "ds")
+        for name in ("ra.json", "rb.json"):
+            TestCompare.write_report(tmp_path / name, [0.5] * 10)
+        argv = [a.format(ds=ds, tmp=tmp_path) for a in argv]
+        loaded = set(_child("-c", _RUN_AND_LIST, *argv).split())
+        assert "provkit.storage" in loaded  # the listing saw the run
+        assert loaded.isdisjoint(f"provkit.{name}" for name in absent)
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+    def test_cli_import_defaults_openblas_to_one_thread(self, preset, want):
+        code = "import os, provkit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _child("-c", code, blas=preset).strip() == want
+
+    def test_reports_and_verdict_do_not_depend_on_openblas_threads(self, tmp_path):
+        data = tmp_path / "sim"
+        assert run("simulate", "--mode", "disposal", "--sims", 1, "--ticks", 30,
+                   "--seed", 3, "--out", data) == 0
+        cv = ["--normalize", "--k", "3", "--repeats", "2"]
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / blas
+            texts = []
+            for name, method in (("a3", ["--method", "A3"]), ("wl2", ["--kernel", "wl", "--h", "2"])):
+                _child("-m", "provkit.cli", "xval", "--data", str(data), *method, *cv,
+                       "--out", str(out / f"{name}.json"), blas=blas)
+                report = json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+                report.pop("featurize_seconds")
+                texts.append(json.dumps(report, sort_keys=True))
+            texts.append(_child("-m", "provkit.cli", "compare", str(out / "a3.json"),
+                                str(out / "wl2.json"), blas=blas))
+            outputs.append(texts)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture()
@@ -276,7 +347,8 @@ class TestXval:
 
 
 class TestCompare:
-    def write_report(self, path, accuracies):
+    @staticmethod
+    def write_report(path, accuracies):
         blob = {
             "accuracies": accuracies,
             "mean": sum(accuracies) / len(accuracies),
@@ -364,6 +436,13 @@ class TestExitCodes:
 
     def test_missing_data(self, tmp_path):
         assert run("types", "--data", tmp_path / "nope") == 3
+
+    def test_unknown_mode_is_usage(self, tmp_path, capsys):
+        # SimParams holds the one list of modes and the one check of --mode.
+        assert run("simulate", "--mode", "bogus", "--out", tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert "unknown mode 'bogus' (expected one of targeting, disposal)" in err
+        assert not (tmp_path / "sim").exists()
 
     def test_malformed_feature_name_is_usage(self, sim_dir):
         assert run("explain", "--data", sim_dir, "--feature", "FB1_0") == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import random_family
-from provkit import cli
+from provkit import cli, mlpipe
 
 from provkit.mlpipe import (
     CvReport,
@@ -223,7 +223,8 @@ def test_xval_balance_report_bytes_match_reference(tmp_path, monkeypatch, method
     save_internal(Dataset(ds.family, labels, ds.meta), tmp_path / "ds")
     texts = []
     for balance in (balance_undersample, _reference_balance):
-        monkeypatch.setattr(cli, "balance_undersample", balance)
+        # cmd_xval imports balance_undersample from mlpipe when it runs.
+        monkeypatch.setattr(mlpipe, "balance_undersample", balance)
         out = tmp_path / f"{balance.__name__}.json"
         assert cli.main(["xval", "--data", str(tmp_path / "ds"), *method, "--k", "3",
                          "--repeats", "1", "--balance", "--out", str(out)]) == 0
