@@ -53,7 +53,7 @@ _EXPORTS = {
     "pgsim": ("MODES", "TEAMS", "SimParams", "generate_dataset", "simulate_run"),
     "provjson": ("ProvJsonWarning", "load_family", "load_provjson"),
     "storage": ("load_internal", "save_internal"),
-    "svm": ("ConvergenceWarning", "OvrSvm", "smo_solve", "svm_train"),
+    "svm": ("ConvergenceWarning", "OvrSvm", "svm_train"),
     "typeinf": (
         "EMPTY",
         "PType",

@@ -190,9 +190,14 @@ def cmd_xval(args: argparse.Namespace, sink: _ArtifactSink) -> None:
     if args.balance:
         ds = balance_undersample(ds, **_given(args, "seed"))
     gm, elapsed = _build_gram(ds.family, args)
+    # --C is read relative to the largest self-kernel, as LIBSVM's scaling
+    # advice has it: on a raw count Gram an absolute C = 1 is nearly
+    # hard-margin.  A normalized Gram's diagonal is exactly 1.0 already.
+    top = np.diagonal(gm.values).max()
+    values = gm.values / top if top > 0 else gm.values
     labels = np.array(ds.labels_in_family_order())
     report = repeated_kfold(
-        gm.values,
+        values,
         labels,
         featurize_seconds=elapsed,
         **_given(args, "k", "repeats", "C", "seed"),

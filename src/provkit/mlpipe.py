@@ -132,7 +132,8 @@ def repeated_kfold(
     points left out (label 0); no training kernel is copied.  Each fold is
     then predicted from its test-vs-training kernel rows.  Returns per-fold
     accuracies in (repeat, fold) order, the same bits as training each fold
-    on its own.  ``threads`` is accepted for compatibility and has no effect.
+    on its own.  ``C`` is absolute, on the Gram as given.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     arr = np.array([str(x) for x in labels])
@@ -155,7 +156,7 @@ def repeated_kfold(
             splits.append((train, np.flatnonzero(folds == f), classes, len(rows)))
             rows += [np.where(folds == f, 0.0, np.where(arr == cls, 1.0, -1.0)) for cls in classes]
     y = np.array(rows)
-    alpha, b, n_iter, ok, _ = smo_lockstep(kernel, y, C)
+    alpha, b, n_iter, ok = smo_lockstep(kernel, y, C)
     coef = alpha * y
     accuracies = []
     for train, test, classes, first in splits:
@@ -166,17 +167,11 @@ def repeated_kfold(
     return CvReport.from_accuracies(accuracies, featurize_seconds)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's midrank (a tie group shares the mean of its 1-based
+    ranks, an exact half-integer), and the size of each tie group."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group], counts
 
 
 def mannwhitney_u(a, b) -> tuple[float, float]:
@@ -194,7 +189,7 @@ def mannwhitney_u(a, b) -> tuple[float, float]:
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks, tie_counts = _midranks(pooled)
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
     mu = n1 * n2 / 2.0
     dev = abs(u - mu)
@@ -209,7 +204,6 @@ def mannwhitney_u(a, b) -> tuple[float, float]:
                 hits += 1
         return u, hits / total
     n = n1 + n2
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(((tie_counts**3) - tie_counts).sum()) / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if var <= 0:

@@ -7,7 +7,9 @@ The binary solver is sequential minimal optimization on the dual problem
 with Q_ij = y_i y_j K_ij.  Working pairs are chosen by the maximal-violating
 rule with a second-order gain heuristic for the partner index (WSS-2 of Fan,
 Chen & Lin, JMLR 2005), ties going to the lowest index; convergence is
-declared when the maximal KKT violation drops to ``tol``.
+declared when the maximal KKT violation drops to ``tol``.  ``C`` is
+absolute: it bounds alpha on the Gram as given, and the Gram s*K with bound
+C has the same decision function as K with bound s*C.
 
 ``smo_lockstep`` is the one solver.  It steps many binary problems over one
 shared Gram together, each problem a row of +1/-1 labels in which 0 leaves a
@@ -42,15 +44,12 @@ def smo_lockstep(
     C: float,
     tol: float = 1e-3,
     max_iter: int = 200_000,
-    *,
-    trace: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[list[float]] | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve P binary duals over one N x N Gram together, one SMO step each per pass.
 
     ``labels`` is (P, N): +1 and -1 put a point in that problem's training
     set, 0 leaves it out.  Returns per-problem (alpha (P, N), bias (P,),
-    iterations (P,), converged (P,), objective traces); a left-out point
-    keeps alpha 0.  The traces are kept only with ``trace``, else None.
+    iterations (P,), converged (P,)); a left-out point keeps alpha 0.
     Every problem steps as a one-problem SMO loop would on a Gram cut down
     to its training points.  Warns once per call with the number of
     problems stopped at ``max_iter``.
@@ -71,7 +70,7 @@ def smo_lockstep(
     n_iter = np.zeros(n_rows, dtype=np.int64)
     converged = np.ones(n_rows, dtype=bool)
     if C == 0:
-        return alpha, bias, n_iter, converged, [[0.0] for _ in range(n_rows)] if trace else None
+        return alpha, bias, n_iter, converged
     C = float(C)
     diag = np.diagonal(k).copy()  # contiguous: read whole every pass
     # -y*grad is kept only in two score matrices: on I_up (-inf elsewhere)
@@ -81,10 +80,6 @@ def smo_lockstep(
     low = np.where(y < 0, -1.0, np.inf)
     rows = np.arange(n_rows)  # the problem behind each row of up/low
     vio_buf, curv_buf = np.empty((n_rows, n)), np.empty((n_rows, n))
-    # history[s, p] is problem p's objective after its step s + 1 (a live
-    # row has stepped on every pass); it grows by doubling, so a capped
-    # solve holds at most 2 * max_iter values.
-    history = np.empty((min(max_iter, 1024) if trace else 0, n_rows))
 
     def settle(done: np.ndarray, ok: bool) -> None:
         for p, u, lo in zip(rows[done].tolist(), up[done], low[done]):
@@ -159,11 +154,6 @@ def smo_lockstep(
         below_c, above_0 = value < C, value > 0
         up[at, pair] = np.where(np.where(y_pair > 0, below_c, above_0), score, -np.inf)
         low[at, pair] = np.where(np.where(y_pair > 0, above_0, below_c), score, np.inf)
-        if trace:
-            if it > len(history):
-                history = np.concatenate((history, np.empty_like(history)))
-            objective = history[it - 2, rows] if it > 1 else 0.0
-            history[it - 1, rows] = objective + (d * delta + 0.5 * a * delta * delta)
     if len(rows):
         settle(np.ones(len(rows), dtype=bool), False)
         warnings.warn(
@@ -172,12 +162,7 @@ def smo_lockstep(
             ConvergenceWarning,
             stacklevel=2,
         )
-    if not trace:
-        return alpha, bias, n_iter, converged, None
-    # A problem steps on every pass but a converged one's last.
-    steps = (n_iter - converged).tolist()
-    traces = [[0.0] + history[:s, p].tolist() for p, s in enumerate(steps)]
-    return alpha, bias, n_iter, converged, traces
+    return alpha, bias, n_iter, converged
 
 
 def _bias(y: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
@@ -201,19 +186,6 @@ def _bias(y: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
     else:
         b = 0.0
     return float(b)
-
-
-def smo_solve(
-    kernel: np.ndarray,
-    y: np.ndarray,
-    C: float,
-    tol: float = 1e-3,
-    max_iter: int = 200_000,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Solve one binary dual; returns (alpha, bias, iterations, converged, objective trace)."""
-    alpha, b, n_iter, ok, traces = smo_lockstep(
-        kernel, np.asarray(y, dtype=np.float64)[None], C, tol, max_iter, trace=True)
-    return alpha[0], float(b[0]), int(n_iter[0]), bool(ok[0]), traces[0]
 
 
 @dataclass
@@ -245,11 +217,12 @@ def svm_train(
     tol: float = 1e-3,
     max_iter: int = 200_000,
 ) -> OvrSvm:
+    """One-vs-rest SVM on a precomputed Gram, with ``C`` absolute on that Gram."""
     labels = [str(x) for x in labels]
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("training requires at least two classes")
     arr = np.array(labels)
     y = np.where(arr == np.array(classes)[:, None], 1.0, -1.0)
-    alpha, b, n_iter, ok, _ = smo_lockstep(kernel, y, C, tol, max_iter)
+    alpha, b, n_iter, ok = smo_lockstep(kernel, y, C, tol, max_iter)
     return OvrSvm(classes, alpha * y, b, n_iter, ok)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family
@@ -229,3 +229,27 @@ class TestPatternPair:
         h2 = Counter(levels[2]["pattern2"].values())
         assert h1 != h2
         assert levels[2]["pattern1"]["root"] != levels[2]["pattern2"]["root"]
+
+
+@given(st.integers(0, 2**30), st.integers(1, 8), st.sampled_from(["pk", "vh", "eh", "wl"]),
+       st.integers(0, 3), st.sampled_from(["application", "generic"]))
+@settings(max_examples=150, deadline=None)
+def test_normalized_gram_has_unit_diagonal_and_is_bitwise_symmetric(seed, count, kernel, h, mode):
+    # xval scales by the largest self-kernel, which leaves a normalized Gram's
+    # bits alone only if its diagonal is exactly 1.0; a mirrored CSV writer
+    # needs the exact symmetry.
+    fam = random_family(random.Random(seed), count, max_nodes=10, max_edges=20)
+    try:
+        if kernel == "pk":
+            assignment = infer_types(fam, h, mode)
+            gm = gram(featurize(assignment, build_universe(assignment)), h, normalize=True)
+        elif kernel == "vh":
+            gm = vh_gram(fam, mode, normalize=True)
+        elif kernel == "eh":
+            gm = eh_gram(fam, normalize=True)
+        else:
+            gm = wl_gram(fam, h, mode, normalize=True)
+    except DataFormatError:
+        assume(False)  # a graph without edges has no eh self-kernel
+    assert (np.diagonal(gm.values) == 1.0).all()
+    assert gm.values.tobytes() == gm.values.T.copy().tobytes()

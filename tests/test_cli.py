@@ -329,9 +329,36 @@ class TestXval:
 
         spelled = ("--C", 1.0, "--k", 10, "--repeats", 10, "--seed", 0)
         assert report() == report(*spelled)
-        # The pair is not equal by accident: another seed gives another report.
-        assert report() != report("--seed", 1)
+        # The pair is not equal by accident: another bound or seed gives
+        # another report.  At C = 1 the plain run predicts the majority class
+        # of these noise labels in every fold, whatever the seed, so the seed
+        # is checked at a harder margin.
+        assert report() != report("--C", 100.0)
+        assert report("--C", 100.0) != report("--C", 100.0, "--seed", 1)
 
+
+    @pytest.mark.parametrize("method", [["--method", "A2"], ["--kernel", "wl", "--h", "1"]])
+    def test_raw_c_is_relative_to_the_largest_self_kernel(self, tmp_path, method):
+        # Each graph of the second set also holds a renamed disjoint copy of
+        # itself, so its raw Gram is exactly 4 times the first's, and 4k/4t
+        # rounds as k/t does: --C must mean the same on both.
+        family = random_family(random.Random(4), 44, max_nodes=8, max_edges=14)
+        labels = {gid: "ab"[i % 2] for i, gid in enumerate(family.graph_ids)}
+        doubled = GraphFamily(tuple(
+            ProvGraph(g.graph_id, {**g.nodes, **{f"copy.{n}": s for n, s in g.nodes.items()}},
+                      g.edges + tuple((f"copy.{u}", f"copy.{v}", e) for u, v, e in g.edges))
+            for g in family
+        ))
+        reports = []
+        for name, fam in (("once", family), ("twice", doubled)):
+            save_internal(Dataset(fam, labels), tmp_path / name)
+            out = tmp_path / f"{name}.json"
+            assert run("xval", "--data", tmp_path / name, *method, "--repeats", 2,
+                       "--out", out) == 0
+            blob = json.loads(out.read_text(encoding="utf-8"))
+            blob.pop("featurize_seconds")
+            reports.append(blob)
+        assert reports[0] == reports[1]
 
     def test_iteration_cap_is_reported_once_with_the_count(self, tmp_path, monkeypatch, capsys):
         family = random_family(random.Random(4), 44, max_nodes=8, max_edges=14)

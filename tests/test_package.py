@@ -1,9 +1,10 @@
-"""Package hygiene: the public names resolve, and no module imports what it
-never reads."""
+"""Package hygiene: the public names resolve, each has a reader outside the
+tests, and no module imports what it never reads."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,34 @@ def test_every_public_name_resolves_once():
     assert len(set(provkit.__all__)) == len(provkit.__all__)
     missing = [name for name in provkit.__all__ if not hasattr(provkit, name)]
     assert missing == []
+
+
+def _reader_lines() -> list[str]:
+    """The lines in which a public name counts as read: every module but its
+    ``_EXPORTS`` table, then ``perfbench/*.py`` and README.md."""
+    lines = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.parse("\n".join(text)).body:
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]:
+                text[node.lineno - 1 : node.end_lineno] = []
+                break
+        lines += text
+    root = SRC.parents[1]
+    for path in [*sorted((root / "perfbench").glob("*.py")), root / "README.md"]:
+        lines += path.read_text(encoding="utf-8").splitlines()
+    return lines
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    lines = _reader_lines()
+    unread = []
+    for name in provkit.__all__:
+        own = re.compile(rf"(def |class ){name}\b|{name} *[:=]")  # its definition
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unread.append(name)
+    assert unread == []
 
 
 def _imported_names(tree: ast.Module) -> list[str]:

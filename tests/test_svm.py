@@ -9,7 +9,6 @@ from provkit.svm import (
     ConvergenceWarning,
     OvrSvm,
     smo_lockstep,
-    smo_solve,
     svm_train,
 )
 
@@ -74,8 +73,9 @@ def test_alpha_stays_in_box_and_kkt_holds():
     if abs(y.sum()) == 30:  # pragma: no cover - astronomically unlikely
         y[0] = -y[0]
     for c in (0.5, 2.0):
-        alpha, b, n_iter, converged, _ = smo_solve(k, y, C=c, tol=1e-4)
-        assert converged
+        alpha, _, _, converged = smo_lockstep(k, y[None], C=c, tol=1e-4)
+        alpha = alpha[0]
+        assert converged[0]
         assert np.all(alpha >= -1e-12) and np.all(alpha <= c + 1e-12)
         grad = (y[:, None] * y[None, :] * k) @ alpha - 1.0
         neg_yg = -y * grad
@@ -86,12 +86,23 @@ def test_alpha_stays_in_box_and_kkt_holds():
 
 
 def test_objective_trace_never_increases():
+    # The solver keeps no trace, so it is read from outside: the same solve
+    # capped after t passes, for every t up to its full run, gives the
+    # objective 1/2 a'Qa - e'a after each step.
     rng = np.random.default_rng(11)
     x = rng.normal(size=(25, 3))
     k = x @ x.T
-    y = np.where(np.arange(25) % 2 == 0, 1.0, -1.0)
-    _, _, _, _, history = smo_solve(k, y, C=1.0, tol=1e-6)
-    hist = np.array(history)
+    y = np.where(np.arange(25) % 2 == 0, 1.0, -1.0)[None]
+    q = y.T * y * k
+    n_iter = int(smo_lockstep(k, y, C=1.0, tol=1e-6)[2][0])
+    assert n_iter > 10
+    hist = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for t in range(1, n_iter + 1):
+            alpha = smo_lockstep(k, y, C=1.0, tol=1e-6, max_iter=t)[0][0]
+            hist.append(0.5 * alpha @ q @ alpha - alpha.sum())
+    hist = np.array(hist)
     assert np.all(np.diff(hist) <= 1e-9 * (1.0 + np.abs(hist[:-1])))
 
 
@@ -134,13 +145,13 @@ def test_decision_columns_are_the_binary_solutions_bit_for_bit():
     scores = model.decision_matrix(k)
     for c, cls in enumerate(model.classes):
         y = np.where(labels == cls, 1.0, -1.0)
-        alpha, b, _, _, _ = smo_solve(k, y, C=1.0)
-        assert scores[:, c].tobytes() == (k @ (alpha * y) + b).tobytes()
+        alpha, b, _, _ = smo_lockstep(k, y[None], C=1.0)
+        assert scores[:, c].tobytes() == (k @ (alpha[0] * y) + b[0]).tobytes()
 
 
 def test_kernel_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        smo_solve(np.eye(3), np.array([1.0, -1.0]), C=1.0)
+    with pytest.raises(ValueError, match="kernel shape"):
+        smo_lockstep(np.eye(3), np.array([[1.0, -1.0]]), C=1.0)
     with pytest.raises(ValueError):
         svm_train(np.eye(3), ["a", "b"], C=1.0)
 
@@ -148,7 +159,8 @@ def test_kernel_shape_mismatch_rejected():
 def _reference_smo(kernel, y, C, tol=1e-3, max_iter=200_000):
     """The plain SMO loop: fresh masks and temporaries every iteration.
 
-    Independent oracle for ``smo_solve``, which must agree with it bit for bit.
+    Independent oracle for each row of ``smo_lockstep``, which must agree
+    with it bit for bit.
     """
     k = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -159,11 +171,9 @@ def _reference_smo(kernel, y, C, tol=1e-3, max_iter=200_000):
         raise ValueError("C must be >= 0")
     alpha = np.zeros(n)
     if C == 0:
-        return alpha, 0.0, 0, True, [0.0]
+        return alpha, 0.0, 0, True
     grad = -np.ones(n)  # Q a - e at a = 0
     diag = np.diagonal(k).copy()
-    objective = 0.0
-    history = [0.0]
     pos = y > 0
     it = 0
     converged = False
@@ -208,8 +218,6 @@ def _reference_smo(kernel, y, C, tol=1e-3, max_iter=200_000):
         np.clip(alpha, 0.0, C, out=alpha)
         k_j = k[j]
         grad += delta * y * (k_i - k_j)
-        objective += d * delta + 0.5 * a * delta * delta
-        history.append(objective)
     else:
         warnings.warn(
             f"SMO hit the iteration cap ({max_iter}) before reaching tol={tol}",
@@ -227,7 +235,7 @@ def _reference_smo(kernel, y, C, tol=1e-3, max_iter=200_000):
         b = float(neg_yg[low].min())
     else:
         b = 0.0
-    return alpha, float(b), it, converged, history
+    return alpha, float(b), it, converged
 
 
 @st.composite
@@ -263,11 +271,10 @@ def test_smo_matches_reference_bit_for_bit(problem):
         want = _reference_smo(k, y, C, 1e-3, max_iter)
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
-        got = smo_solve(k, y, C, 1e-3, max_iter)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1] == want[1] and np.signbit(got[1]) == np.signbit(want[1])
-    assert got[2:4] == want[2:4]
-    assert got[4] == want[4]
+        alpha, b, n_iter, converged = smo_lockstep(k, y[None], C, 1e-3, max_iter)
+    assert alpha[0].tobytes() == want[0].tobytes()
+    assert b[0] == want[1] and np.signbit(b[0]) == np.signbit(want[1])
+    assert (n_iter[0], converged[0]) == want[2:4]
     assert [w.category for w in got_warned] == [w.category for w in want_warned]
     assert all(w.category is ConvergenceWarning for w in got_warned)
 
@@ -314,7 +321,7 @@ def test_lockstep_rows_match_reference_on_their_training_points(batch):
     k, y, C, tol, max_iter = batch
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
-        alpha, b, n_iter, converged, traces = smo_lockstep(k, y, C, tol, max_iter, trace=True)
+        alpha, b, n_iter, converged = smo_lockstep(k, y, C, tol, max_iter)
     capped = 0
     for p, row in enumerate(y):
         idx = np.flatnonzero(row)
@@ -325,25 +332,10 @@ def test_lockstep_rows_match_reference_on_their_training_points(batch):
         assert alpha[p][row == 0].tobytes() == np.zeros(len(row) - len(idx)).tobytes()
         assert b[p] == want[1] and np.signbit(b[p]) == np.signbit(want[1])
         assert (n_iter[p], converged[p]) == want[2:4]
-        assert traces[p] == want[4]
         capped += not want[3]
     assert [w.category for w in got_warned] == [ConvergenceWarning] * bool(capped)
     if capped:
         assert f"in {capped} of {len(y)} solves" in str(got_warned[0].message)
-
-
-def test_lockstep_keeps_objective_traces_only_when_asked():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(30, 3))
-    y = np.where(rng.random((4, 30)) < 0.5, 1.0, -1.0)
-    y[:, ::5] = 0.0
-    plain = smo_lockstep(x @ x.T, y, 1.0)
-    traced = smo_lockstep(x @ x.T, y, 1.0, trace=True)
-    assert plain[4] is None
-    for got, want in zip(plain[:4], traced[:4]):
-        assert got.tobytes() == want.tobytes()
-    steps = traced[2] - traced[3]  # a converged problem's last pass takes no step
-    assert [len(t) - 1 for t in traced[4]] == steps.tolist()
 
 
 def test_lockstep_rejects_labels_outside_plus_minus_one_and_zero():
@@ -370,6 +362,6 @@ def test_capped_training_warns_once_with_the_count():
 def test_zero_bias_keeps_the_serial_sign(y):
     # One step lands both gradients on exactly 0, so the bias is a signed zero.
     want = _reference_smo(np.eye(2), np.array(y), C=10.0)
-    got = smo_solve(np.eye(2), np.array(y), C=10.0)
-    assert got[1] == want[1] == 0.0
-    assert np.signbit(got[1]) == np.signbit(want[1])
+    got = smo_lockstep(np.eye(2), np.array([y]), C=10.0)[1][0]
+    assert got == want[1] == 0.0
+    assert np.signbit(got) == np.signbit(want[1])
