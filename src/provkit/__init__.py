@@ -23,7 +23,6 @@ _EXPORTS = {
     "kernel": (
         "FeatureMatrix",
         "GramMatrix",
-        "StaleUniverseError",
         "TypeUniverse",
         "build_universe",
         "distance_report",

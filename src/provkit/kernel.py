@@ -2,11 +2,14 @@
 
 Each depth ``s`` contributes one feature per distinct non-EMPTY type observed
 anywhere in the family at that depth; a graph's coordinate is the number of
-its nodes carrying exactly that type.  The kernel at depth ``h`` is the sum
-over ``s = 0..h`` of the per-depth dot products, computed exactly in integer
-arithmetic.  Features are named ``FA{depth}_{index}`` (application mode) or
-``FG{depth}_{index}`` (generic mode), with indices assigned by the canonical
-lexicographic order of the serialized types within each depth.
+its nodes carrying exactly that type.  The type assignment already numbers
+each depth's types in canonical order, so a node's type code is its feature
+column, and a universe is always the assignment's own (``build_universe``).
+The kernel at depth ``h`` is the sum over ``s = 0..h`` of the per-depth dot
+products, computed exactly in integer arithmetic.  Features are named
+``FA{depth}_{index}`` (application mode) or ``FG{depth}_{index}`` (generic
+mode), in decimal without leading zeros, with indices assigned by the
+canonical lexicographic order of the serialized types within each depth.
 
 ``hamming_distance`` compares two types of equal depth layer by layer: the
 total symmetric-difference size over the total union size, as an exact
@@ -29,15 +32,11 @@ from .model import DataFormatError
 from .typeinf import PType, TypeAssignment
 
 
-class StaleUniverseError(KeyError):
-    """An assignment mentions a type the universe does not contain."""
-
-
 #: Label mode by the letter that names it in feature names (``FA2_0``) and
 #: CLI method ids (``A3``).
 LABEL_MODES = {"A": "application", "G": "generic"}
 _LETTERS = {mode: letter for letter, mode in LABEL_MODES.items()}
-_NAME_RE = re.compile(rf"F([{''.join(LABEL_MODES)}])([0-9]+)_([0-9]+)")
+_NAME_RE = re.compile(rf"F([{''.join(LABEL_MODES)}])(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")
 
 
 def parse_feature_name(name: str) -> tuple[str, int, int]:
@@ -62,17 +61,7 @@ class TypeUniverse:
         return len(self.per_depth[depth])
 
     def index_of(self, t: PType) -> int:
-        depth = t.depth
-        try:
-            return self._indexes[depth][t]
-        except KeyError:
-            raise StaleUniverseError(
-                f"type at depth {depth} not in universe (stale universe?): {t!r}"
-            ) from None
-
-    @cached_property
-    def _indexes(self) -> tuple[dict[PType, int], ...]:
-        return tuple({t: i for i, t in enumerate(level)} for level in self.per_depth)
+        return self.per_depth[t.depth].index(t)
 
     def feature_name(self, depth: int, index: int) -> str:
         if not 0 <= depth <= self.h_max:
@@ -130,30 +119,21 @@ class FeatureMatrix:
             raise ValueError(f"h {h} outside featurized range 0..{self.universe.h_max}")
         return h
 
-    def vector(self, graph_id: str, h: int | None = None) -> list[int]:
-        """The concatenated exact count vector for depths ``0..h``."""
-        mats = self.mats[: self._depth(h) + 1]
-        row = self.row_index(graph_id)
-        return [v for m in mats for v in m[row].tolist()]
-
 
 def featurize(assignment: TypeAssignment, universe: TypeUniverse) -> FeatureMatrix:
-    """Per-depth counts of each universe type among each graph's nodes.
+    """Per-depth counts of each of the assignment's types among each graph's nodes.
 
-    Raises ``StaleUniverseError`` if the assignment holds a type the universe
-    lacks.
+    A node's type code is its column, so ``universe`` must be
+    ``build_universe(assignment)``; any other raises ``ValueError``.
     """
-    if universe.h_max != assignment.h_max:
-        raise ValueError(
-            f"universe depth {universe.h_max} != assignment depth {assignment.h_max}"
-        )
+    if universe != build_universe(assignment):
+        raise ValueError("universe is not the assignment's own (see build_universe)")
     rows = len(assignment.graph_ids)
     mats = []
-    for depth, (level, codes) in enumerate(zip(assignment.types, assignment.codes)):
-        column = np.array([universe.index_of(t) for t in level], dtype=np.int64)
+    for level, codes in zip(assignment.types, assignment.codes):
         typed = codes >= 0
         owner = assignment.family.graph_of[typed]
-        mats.append(_counts(owner, column[codes[typed]], rows, universe.size(depth)))
+        mats.append(_counts(owner, codes[typed], rows, len(level)))
     return FeatureMatrix(universe, assignment.graph_ids, tuple(mats))
 
 
@@ -266,18 +246,12 @@ def retrieve_instances(
 
 def features_to_csv(fm: FeatureMatrix) -> tuple[str, dict]:
     """Feature counts as CSV plus the sidecar mapping names to definitions."""
-    universe = fm.universe
-    names = universe.names()
+    names = fm.universe.names()
     lines = ["graph_id," + ",".join(names)]
-    for gid in fm.graph_ids:
-        vec = fm.vector(gid)
-        lines.append(gid + "," + ",".join(str(v) for v in vec))
-    sidecar = {
-        universe.feature_name(d, i): t.to_jsonable()
-        for d in range(universe.h_max + 1)
-        for i, t in enumerate(universe.per_depth[d])
-    }
-    return "\n".join(lines) + "\n", sidecar
+    for gid, row in zip(fm.graph_ids, np.hstack(fm.mats).tolist()):
+        lines.append(gid + "," + ",".join(map(str, row)))
+    types = [t.to_jsonable() for level in fm.universe.per_depth for t in level]
+    return "\n".join(lines) + "\n", dict(zip(names, types))
 
 
 def gram_to_csv(gm: GramMatrix) -> str:

@@ -37,15 +37,15 @@ class CvReport:
 
     @classmethod
     def from_jsonable(cls, blob: dict) -> "CvReport":
+        """The report of ``blob``'s accuracies; its stated mean must be theirs."""
         try:
-            return cls(
-                accuracies=tuple(float(a) for a in blob["accuracies"]),
-                mean=float(blob["mean"]),
-                ci95=(float(blob["ci95"][0]), float(blob["ci95"][1])),
-                featurize_seconds=float(blob.get("featurize_seconds", 0.0)),
-            )
-        except (KeyError, TypeError, IndexError) as exc:
+            report = cls.from_accuracies(blob["accuracies"], blob.get("featurize_seconds", 0.0))
+            stated = float(blob["mean"])
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed CV report: {exc}") from exc
+        if not math.isclose(stated, report.mean, rel_tol=1e-9):
+            raise ValueError(f"stated mean {stated!r} is not its accuracies' mean {report.mean!r}")
+        return report
 
     @classmethod
     def from_accuracies(

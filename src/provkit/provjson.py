@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import warnings
 from itertools import chain, repeat
-from pathlib import Path
 from typing import Any
 
-from .model import EDGE_KINDS, DataFormatError, GraphFamily, ProvGraph, _gc_paused, read_json
+from .model import EDGE_KINDS, DataFormatError, GraphFamily, ProvGraph, _gc_paused
 
 
 class ProvJsonWarning(UserWarning):
@@ -67,26 +66,19 @@ def _type_strings(value: Any, nid: str) -> list[str]:
 
 
 def load_family(
-    source: str | Path | dict,
-    label_mode: str = "application",
-    graph_id: str | None = None,
+    doc: dict, label_mode: str = "application", graph_id: str = "document"
 ) -> GraphFamily:
-    """Load one PROV-JSON document as a one-graph family.
+    """Load one decoded PROV-JSON document as a one-graph family.
 
-    ``source`` may be a path to a JSON file or an already-parsed document
-    dict.  ``label_mode`` selects ``"generic"`` (node kinds only) or
-    ``"application"`` (kinds plus ``prov:type`` labels).  Nodes referenced by
-    a relation but never declared are auto-declared with the generic label
-    the relation column expects, with a warning.
+    Files are read by :func:`provkit.storage.load_dataset`.  ``label_mode``
+    selects ``"generic"`` (node kinds only) or ``"application"`` (kinds plus
+    ``prov:type`` labels).  Nodes referenced by a relation but never declared
+    are auto-declared with the generic label the relation column expects,
+    with a warning.
     """
     if label_mode not in ("generic", "application"):
         raise ValueError(f"unknown label mode {label_mode!r}")
     with _gc_paused():
-        if isinstance(source, (str, Path)):
-            doc, default_id = read_json(source), Path(source).stem
-        else:
-            doc, default_id = source, "document"
-        graph_id = default_id if graph_id is None else graph_id
         if not isinstance(doc, dict):
             raise DataFormatError("PROV-JSON document must be a JSON object")
 
@@ -176,10 +168,8 @@ def _endpoints(section: str, members: dict, src_field: str, dst_field: str) -> t
 
 
 def load_provjson(
-    source: str | Path | dict,
-    label_mode: str = "application",
-    graph_id: str | None = None,
+    doc: dict, label_mode: str = "application", graph_id: str = "document"
 ) -> ProvGraph:
-    """Load one PROV-JSON document as a provenance graph: the one graph of
-    :func:`load_family`, which takes the same arguments."""
-    return load_family(source, label_mode, graph_id).graphs[0]
+    """Load one decoded PROV-JSON document as a provenance graph: the one
+    graph of :func:`load_family`, which takes the same arguments."""
+    return load_family(doc, label_mode, graph_id).graphs[0]

@@ -141,7 +141,7 @@ def test_02_feature_vector_counts():
     universe = build_universe(assign)
     assert universe.size(0) == 3 and universe.size(1) == 4
     fm = featurize(assign, universe)
-    assert fm.vector("vecfix") == [5, 2, 2, 2, 1, 1, 2]
+    assert np.hstack(fm.mats).tolist() == [[5, 2, 2, 2, 1, 1, 2]]
 
 
 def _random_multigraph(rng: random.Random, gid: str) -> ProvGraph:

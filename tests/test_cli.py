@@ -409,6 +409,18 @@ class TestCompare:
         ok = self.write_report(tmp_path / "ok.json", [0.5] * 4)
         assert run("compare", bad, ok) == 3
 
+    @pytest.mark.parametrize("blob, message", [
+        ({"accuracies": [0.5, 0.6], "mean": 0.1}, "stated mean 0.1 is not its accuracies' mean"),
+        ({"accuracies": [], "mean": 0.0}, "no accuracies"),
+    ], ids=["wrong-mean", "empty"])
+    def test_report_refused_with_its_path(self, tmp_path, capsys, blob, message):
+        # A report is rebuilt from its accuracies; its stated mean must be theirs.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**blob, "ci95": [0.0, 1.0]}), encoding="utf-8")
+        ok = self.write_report(tmp_path / "ok.json", [0.5] * 4)
+        assert run("compare", ok, bad) == 3
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
 
 class TestExplain:
     def test_instances_listed(self, tmp_path, capsys):
@@ -472,7 +484,9 @@ class TestExitCodes:
         assert not (tmp_path / "sim").exists()
 
     def test_malformed_feature_name_is_usage(self, sim_dir):
-        assert run("explain", "--data", sim_dir, "--feature", "FB1_0") == 2
+        # Leading zeros would resolve to a name that no sidecar holds.
+        for name in ("FB1_0", "FA03_0", "FA1_00"):
+            assert run("explain", "--data", sim_dir, "--feature", name) == 2, name
 
     def test_feature_deeper_than_any_type_is_usage(self, sim_dir):
         assert run("explain", "--data", sim_dir, "--feature", "FA9_0") == 2

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,6 @@ from provkit.fixtures import admission_fixture, feature_vector_fixture
 from provkit.kernel import (
     LABEL_MODES,
     FeatureMatrix,
-    StaleUniverseError,
     TypeUniverse,
     build_universe,
     distance_report,
@@ -65,7 +66,7 @@ class TestFeatureVectorFixture:
         ]
 
     def test_count_vector(self):
-        assert self.fm.vector("vecfix") == [5, 2, 2, 2, 1, 1, 2]
+        assert np.hstack(self.fm.mats).tolist() == [[5, 2, 2, 2, 1, 1, 2]]
 
     def test_self_kernel(self):
         assert kernel_value(self.fm, "vecfix", "vecfix", 1) == 43
@@ -80,7 +81,7 @@ class TestFeatureVectorFixture:
             self.universe.feature_lookup("FA1_0")
         with pytest.raises(ValueError):
             self.universe.feature_lookup("FG9_0")
-        for malformed in ("FG1_0\n", "FG\u0661_0"):
+        for malformed in ("FG1_0\n", "FG\u0661_0", "FG01_0", "FG1_00"):
             with pytest.raises(ValueError):
                 self.universe.feature_lookup(malformed)
 
@@ -89,13 +90,12 @@ class TestFeatureVectorFixture:
 def test_depth_outside_featurized_range_rejected(h):
     fm = pipeline(GraphFamily((admission_fixture(),)), 2, "application")[2]
     for call in (
-        lambda: fm.vector("admission", h),
         lambda: kernel_value(fm, "admission", "admission", h),
         lambda: gram(fm, h),
     ):
         with pytest.raises(ValueError, match=rf"h {h} outside featurized range 0\.\.2"):
             call()
-    assert len(fm.vector("admission")) == len(fm.vector("admission", 2)) == 16
+    assert np.hstack(fm.mats).shape == (1, 16)
 
 
 @pytest.mark.parametrize("letter, mode", sorted(LABEL_MODES.items()))
@@ -227,17 +227,24 @@ class TestGram:
         with pytest.raises(OverflowError):
             gram(fm, 1)
 
-    def test_stale_universe_detected(self):
+    @pytest.mark.parametrize("other", ["smaller", "larger", "generic"])
+    def test_foreign_universe_refused(self, other):
         rng = random.Random(13)
         fam = random_family(rng, 3, max_nodes=8, max_edges=16)
         extra = random_family(random.Random(99), 1, max_nodes=8, max_edges=16).graphs[0]
         extra = type(extra)("extra", extra.nodes, extra.edges)
         bigger = GraphFamily(fam.graphs + (extra,))
-        assignment_small = infer_types(fam, 2, "application")
-        universe_small = build_universe(assignment_small)
-        assignment_big = infer_types(bigger, 2, "application")
-        with pytest.raises(StaleUniverseError):
-            featurize(assignment_big, universe_small)
+        small, big = (infer_types(f, 2, "application") for f in (fam, bigger))
+        assignment, universe = {
+            "smaller": (big, build_universe(small)),
+            "larger": (small, build_universe(big)),
+            "generic": (small, build_universe(infer_types(fam, 2, "generic"))),
+        }[other]
+        with pytest.raises(ValueError, match="not the assignment's own"):
+            featurize(assignment, universe)
+        # An equal universe is the assignment's own, whatever objects hold it.
+        own = copy.deepcopy(build_universe(assignment))
+        assert featurize(assignment, own).universe is own
 
     def test_adding_graph_preserves_relative_type_order(self):
         rng = random.Random(14)
@@ -307,6 +314,28 @@ class TestCsv:
         text = gram_to_csv(gram(fm, 1, normalize=True))
         cell = text.splitlines()[1].split(",")[1]
         assert cell == "1"  # unit diagonal prints exactly
+
+
+@given(st.integers(0, 2**30), st.sampled_from(sorted(LABEL_MODES.values())))
+@settings(max_examples=25, deadline=None)
+def test_feature_rows_count_each_graphs_types(seed, mode):
+    rng = random.Random(seed)
+    fam = random_family(rng, rng.randint(1, 5), max_nodes=10, max_edges=25)
+    assignment, _, fm = pipeline(fam, 2, mode)
+    text, sidecar = features_to_csv(fm)
+    header, *rows = (line.split(",") for line in text.splitlines())
+    assert header[1:] == list(sidecar)
+    columns = [(parse_feature_name(n)[1], PType.from_jsonable(sidecar[n])) for n in header[1:]]
+    assert len(set(columns)) == len(columns)
+    assert [row[0] for row in rows] == list(fam.graph_ids)
+    for gid, *cells in rows:
+        want = Counter(
+            (d, x)
+            for types in assignment.by_graph[gid].values()
+            for d, x in enumerate(types)
+            if not x.is_empty
+        )
+        assert {col: int(c) for col, c in zip(columns, cells) if c != "0"} == want
 
 
 def test_readme_library_example_runs(capsys):

@@ -201,12 +201,13 @@ class TestProvJson:
     def test_file_loading_and_errors(self, tmp_path):
         p = tmp_path / "doc.json"
         p.write_text('{"entity": {"e1": {}}}')
-        graph = load_provjson(p)
-        assert graph.graph_id == "doc"
+        assert load_dataset(p).family == GraphFamily((g({"e1": {"ent"}}, [], "doc"),))
+        with pytest.raises(DataFormatError, match="must be a JSON object"):
+            load_provjson(p)
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        with pytest.raises(DataFormatError):
-            load_provjson(bad)
+        with pytest.raises(DataFormatError, match="not valid JSON"):
+            load_dataset(bad)
         with pytest.raises(DataFormatError):
             load_provjson({}, graph_id="d")
 
@@ -629,7 +630,7 @@ def test_ingest_restores_the_callers_gc_state(tmp_path, enabled):
 
     loads = [
         (lambda: load_family(good_doc, graph_id="d"), None),
-        (lambda: load_family(bad_json), DataFormatError),
+        (lambda: load_dataset(bad_json), DataFormatError),
         (lambda: load_family(bad_endpoint, graph_id="d"), DataFormatError),
         (lambda: load_internal(tmp_path / "ds"), None),
         (lambda: load_internal(bad_record), DataFormatError),
