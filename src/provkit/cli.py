@@ -67,7 +67,9 @@ EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_METHOD_RE = re.compile(r"([A-Za-z])([0-5])")
+#: The deepest type depth a flag, method id or feature name may ask for.
+_MAX_H = 5
+_METHOD_RE = re.compile(rf"([A-Za-z])([0-{_MAX_H}])")
 #: Characters encoded per write when staging an artifact (1 MiB).
 _WRITE_CHARS = 1 << 20
 
@@ -196,13 +198,8 @@ def cmd_xval(args: argparse.Namespace, sink: _ArtifactSink) -> None:
     top = np.diagonal(gm.values).max()
     values = gm.values / top if top > 0 else gm.values
     labels = np.array(ds.labels_in_family_order())
-    report = repeated_kfold(
-        values,
-        labels,
-        featurize_seconds=elapsed,
-        **_given(args, "k", "repeats", "C", "seed"),
-    )
-    _emit(args, sink, _json_text(report.to_jsonable()))
+    report = repeated_kfold(values, labels, **_given(args, "k", "repeats", "C", "seed"))
+    _emit(args, sink, _json_text({**report.to_jsonable(), "featurize_seconds": elapsed}))
 
 
 def _read_report(path: Path) -> CvReport:
@@ -283,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_method(p):
         p.add_argument("--labels", choices=("generic", "app"))
-        p.add_argument("--h", type=int, choices=range(6), help="type depth, 0..5")
+        p.add_argument("--h", type=int, choices=range(_MAX_H + 1), help=f"type depth, 0..{_MAX_H}")
         p.add_argument(
             "--method",
             metavar="ID",
-            help="shorthand G0..G5 / A0..A5 for --labels plus --h",
+            help=f"shorthand G0..G{_MAX_H} / A0..A{_MAX_H} for --labels plus --h",
         )
 
     def add_threads(p):
@@ -390,9 +387,8 @@ def _resolve_method(parser, args) -> tuple[str, int]:
             parser.error("--method replaces --labels/--h; give one or the other")
         m = _METHOD_RE.fullmatch(args.method)
         if not m or m.group(1).upper() not in LABEL_MODES:
-            parser.error(
-                f"unrecognized method id {args.method!r} (expected G0..G5 or A0..A5)"
-            )
+            parser.error(f"unrecognized method id {args.method!r} "
+                         f"(expected G0..G{_MAX_H} or A0..A{_MAX_H})")
         return LABEL_MODES[m.group(1).upper()], int(m.group(2))
     # --labels app|generic goes by its initial, as a method id does.
     return LABEL_MODES[(args.labels or "app")[0].upper()], 3 if args.h is None else args.h
@@ -412,8 +408,8 @@ def _resolve(parser, args) -> None:
             # A depth-d type is the same at any deeper inference, so the
             # feature's own depth is how deep to infer.
             args.h = parse_feature_name(args.feature)[1]
-            if args.h > 5:
-                parser.error(f"feature depth {args.h} is outside 0..5")
+            if args.h > _MAX_H:
+                parser.error(f"feature depth {args.h} is outside 0..{_MAX_H}")
             if args.distance_to and (d := parse_feature_name(args.distance_to)[1]) != args.h:
                 parser.error(f"--distance-to needs a feature of depth {args.h}, not {d}")
         elif args.command != "compare":

@@ -153,9 +153,10 @@ def kernel_value(fm: FeatureMatrix, p: str, q: str, h: int | None = None) -> int
 
 @dataclass(frozen=True)
 class GramMatrix:
+    """Kernel values over ``graph_ids``: int64 exact, or float64 normalized."""
+
     graph_ids: tuple[str, ...]
     values: np.ndarray
-    normalized: bool
 
 
 def _counts(owner: np.ndarray, codes: np.ndarray, n_rows: int, width: int) -> np.ndarray:
@@ -178,13 +179,13 @@ def _count_gram(x: np.ndarray, graph_ids: tuple[str, ...], normalize: bool) -> G
         )
     values = x @ x.T
     if not normalize:
-        return GramMatrix(graph_ids, values, False)
+        return GramMatrix(graph_ids, values)
     diag = np.diagonal(values).astype(np.float64)
     if np.any(diag <= 0):
         bad = graph_ids[int(np.argmin(diag))]
         raise DataFormatError(f"cannot normalize: graph {bad!r} has zero self-kernel")
     scale = np.sqrt(np.outer(diag, diag))
-    return GramMatrix(graph_ids, values.astype(np.float64) / scale, True)
+    return GramMatrix(graph_ids, values.astype(np.float64) / scale)
 
 
 def gram(fm: FeatureMatrix, h: int | None = None, normalize: bool = False) -> GramMatrix:
@@ -257,16 +258,11 @@ def features_to_csv(fm: FeatureMatrix) -> tuple[str, dict]:
 def gram_to_csv(gm: GramMatrix) -> str:
     """Gram matrix as CSV with graph ids on both axes.
 
-    Integer matrices print exact integers; normalized matrices print floats
-    with 17 significant digits so re-runs are byte-identical.
+    Integer matrices print exact integers; float (normalized) matrices print
+    17 significant digits so re-runs are byte-identical.
     """
-    header = "graph_id," + ",".join(gm.graph_ids)
-    lines = [header]
-    for i, gid in enumerate(gm.graph_ids):
-        row = gm.values[i]
-        if gm.normalized:
-            cells = [format(float(x), ".17g") for x in row]
-        else:
-            cells = [str(int(x)) for x in row]
-        lines.append(gid + "," + ",".join(cells))
+    cell = "{:.17g}".format if gm.values.dtype.kind == "f" else str
+    lines = ["graph_id," + ",".join(gm.graph_ids)]
+    for gid, row in zip(gm.graph_ids, gm.values):
+        lines.append(gid + "," + ",".join(map(cell, row.tolist())))
     return "\n".join(lines) + "\n"

@@ -20,51 +20,43 @@ from .svm import svm_train  # noqa: F401  (perfbench/workloads.py patches mlpipe
 
 @dataclass(frozen=True)
 class CvReport:
-    """Per-fold accuracies plus summary statistics for one method."""
+    """One method's per-fold accuracies; the mean and interval are theirs."""
 
     accuracies: tuple[float, ...]
-    mean: float
-    ci95: tuple[float, float]
-    featurize_seconds: float
+
+    def __post_init__(self) -> None:
+        acc = tuple(self.accuracies)
+        if not acc:
+            raise ValueError("no accuracies")
+        for a in acc:  # NaN fails the range test too
+            if not isinstance(a, (int, float)) or isinstance(a, bool) or not 0.0 <= a <= 1.0:
+                raise ValueError(f"accuracy {a!r} is not a number in [0, 1]")
+        object.__setattr__(self, "accuracies", tuple(float(a) for a in acc))
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.accuracies))
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        """Normal-approximation 95% interval of the mean; one fold gives ``(mean, mean)``."""
+        acc, mean = self.accuracies, self.mean
+        half = 1.96 * float(np.std(acc, ddof=1)) / math.sqrt(len(acc)) if len(acc) > 1 else 0.0
+        return (mean - half, mean + half)
 
     def to_jsonable(self) -> dict:
-        return {
-            "accuracies": list(self.accuracies),
-            "mean": self.mean,
-            "ci95": list(self.ci95),
-            "featurize_seconds": self.featurize_seconds,
-        }
+        return {"accuracies": list(self.accuracies), "mean": self.mean, "ci95": list(self.ci95)}
 
     @classmethod
     def from_jsonable(cls, blob: dict) -> "CvReport":
-        """The report of ``blob``'s accuracies; its stated mean must be theirs."""
+        """The report of ``blob``'s accuracies, which its stated mean must match."""
         try:
-            report = cls.from_accuracies(blob["accuracies"], blob.get("featurize_seconds", 0.0))
-            stated = float(blob["mean"])
+            report, stated = cls(blob["accuracies"]), float(blob["mean"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed CV report: {exc}") from exc
         if not math.isclose(stated, report.mean, rel_tol=1e-9):
             raise ValueError(f"stated mean {stated!r} is not its accuracies' mean {report.mean!r}")
         return report
-
-    @classmethod
-    def from_accuracies(
-        cls, accuracies: list[float], featurize_seconds: float = 0.0
-    ) -> "CvReport":
-        acc = tuple(float(a) for a in accuracies)
-        if not acc:
-            raise ValueError("no accuracies")
-        mean = float(np.mean(acc))
-        if len(acc) > 1:
-            half = 1.96 * float(np.std(acc, ddof=1)) / math.sqrt(len(acc))
-        else:
-            half = 0.0
-        return cls(
-            accuracies=acc,
-            mean=mean,
-            ci95=(mean - half, mean + half),
-            featurize_seconds=float(featurize_seconds),
-        )
 
 
 def balance_undersample(dataset: Dataset, seed: int = 0) -> Dataset:
@@ -122,7 +114,6 @@ def repeated_kfold(
     repeats: int = 10,
     C: float = 1.0,
     seed: int = 0,
-    featurize_seconds: float = 0.0,
     threads: int = 1,
 ) -> CvReport:
     """Repeated stratified k-fold CV of a kernel SVM on a precomputed Gram.
@@ -132,8 +123,8 @@ def repeated_kfold(
     points left out (label 0); no training kernel is copied.  Each fold is
     then predicted from its test-vs-training kernel rows.  Returns per-fold
     accuracies in (repeat, fold) order, the same bits as training each fold
-    on its own.  ``C`` is absolute, on the Gram as given.  ``threads`` is
-    accepted for compatibility and has no effect.
+    on its own, as a ``CvReport``.  ``C`` is absolute, on the Gram as given.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     arr = np.array([str(x) for x in labels])
@@ -164,7 +155,7 @@ def repeated_kfold(
         model = OvrSvm(classes, coef[rows][:, train], b[rows], n_iter[rows], ok[rows])
         pred = model.predict(kernel[np.ix_(test, train)])
         accuracies.append(float(np.mean(np.array(pred) == arr[test])))
-    return CvReport.from_accuracies(accuracies, featurize_seconds)
+    return CvReport(accuracies)
 
 
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +210,12 @@ def compare_reports(
     name_b: str,
     alpha: float = 0.05,
 ) -> dict:
-    """Rank-test two CV reports; verdict names the better method or '='."""
+    """Rank-test two CV reports; verdict names the better method or '='.
+
+    ``alpha`` must lie in (0, 1): outside it every verdict would be fixed.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha!r} outside (0, 1)")
     u, p = mannwhitney_u(report_a.accuracies, report_b.accuracies)
     diff = report_a.mean - report_b.mean
     if p < alpha and diff > 0:

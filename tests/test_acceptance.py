@@ -302,7 +302,6 @@ def test_09_classification_beats_chance(pipelines):
             repeats=10,
             C=1.0,
             seed=0,
-            featurize_seconds=p["featurize_seconds"],
         )
         cv_seconds = time.perf_counter() - t0
         total_seconds += p["sim_seconds"] + p["featurize_seconds"] + cv_seconds

@@ -175,7 +175,7 @@ def oracle_wl_gram(fam, h, mode, normalize) -> GramMatrix:
     if normalize:
         diag = np.diagonal(values).astype(np.float64)
         values = values.astype(np.float64) / np.sqrt(np.outer(diag, diag))
-    return GramMatrix(ids, values, normalize)
+    return GramMatrix(ids, values)
 
 
 @given(wl_families(), st.sampled_from(["application", "generic"]), st.booleans())

@@ -289,6 +289,7 @@ class TestXval:
         assert report["accuracies"] == [1.0] * 8
         assert report["mean"] == 1.0
         assert report["featurize_seconds"] > 0
+        assert set(report) == {"accuracies", "ci95", "featurize_seconds", "mean"}
 
     def test_rerun_reproduces_everything_but_timing(self, tmp_path):
         data = two_class_dataset(tmp_path / "ds")
@@ -420,6 +421,26 @@ class TestCompare:
         ok = self.write_report(tmp_path / "ok.json", [0.5] * 4)
         assert run("compare", ok, bad) == 3
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("accuracies, mean", [
+        ([1.5, 2.0], 1.75), ([-3, 0.5], -1.25), (["0.5", "0.7"], 0.6), ([0.5, float("nan")], 0.5),
+    ], ids=["above-one", "negative", "strings", "nan"])
+    def test_impossible_accuracy_refused(self, tmp_path, capsys, accuracies, mean):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"accuracies": accuracies, "mean": mean}), encoding="utf-8")
+        ok = self.write_report(tmp_path / "ok.json", [0.5] * 4)
+        assert run("compare", bad, ok) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: accuracy ")
+        assert err[0].endswith(" is not a number in [0, 1]")
+
+    @pytest.mark.parametrize("alpha", [2, -1, 0, 1])
+    def test_alpha_outside_unit_interval_is_a_data_error(self, tmp_path, capsys, alpha):
+        a = self.write_report(tmp_path / "ra.json", [0.9] * 10)
+        b = self.write_report(tmp_path / "rb.json", [0.1] * 10)
+        assert run("compare", a, b, "--alpha", alpha) == 3
+        assert capsys.readouterr().err == f"error: alpha {float(alpha)!r} outside (0, 1)\n"
 
 
 class TestExplain:

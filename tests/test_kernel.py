@@ -17,6 +17,7 @@ from provkit.fixtures import admission_fixture, feature_vector_fixture
 from provkit.kernel import (
     LABEL_MODES,
     FeatureMatrix,
+    GramMatrix,
     TypeUniverse,
     build_universe,
     distance_report,
@@ -343,3 +344,36 @@ def test_readme_library_example_runs(capsys):
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "2/5"
+
+
+def _gram_csv_oracle(ids, values, cell) -> str:
+    """The Gram CSV formatted one numpy element at a time."""
+    lines = ["graph_id," + ",".join(ids)]
+    lines += [gid + "," + ",".join(cell(x) for x in row) for gid, row in zip(ids, values)]
+    return "\n".join(lines) + "\n"
+
+
+def _square(data, elements, dtype) -> np.ndarray:
+    n = data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(elements, min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype).reshape(n, n)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_gram_csv_matches_per_element_oracle(data):
+    values = _square(data, st.integers(0, 2**62), np.int64)
+    ids = tuple(f"g{i}" for i in range(len(values)))
+    want = _gram_csv_oracle(ids, values, lambda x: str(int(x)))
+    assert gram_to_csv(GramMatrix(ids, values)) == want
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_float_gram_csv_matches_per_element_oracle(data):
+    # 5e-324 and 2**-1022 - 2**-1074 are the least and greatest subnormals.
+    edges = st.sampled_from([0.0, 1.0, 5e-324, 2.225073858507201e-308])
+    values = _square(data, edges | st.floats(allow_nan=False, allow_infinity=False), np.float64)
+    ids = tuple(f"g{i}" for i in range(len(values)))
+    want = _gram_csv_oracle(ids, values, lambda x: format(float(x), ".17g"))
+    assert gram_to_csv(GramMatrix(ids, values)) == want

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import warnings
 from itertools import combinations
@@ -115,21 +116,41 @@ class TestMannWhitney:
 
 class TestCvReport:
     def test_summary_statistics(self):
-        rep = CvReport.from_accuracies([0.5, 0.7], featurize_seconds=1.25)
+        rep = CvReport([0.5, 0.7])
         assert rep.mean == pytest.approx(0.6)
         half = 1.96 * np.std([0.5, 0.7], ddof=1) / np.sqrt(2)
         assert rep.ci95 == (pytest.approx(0.6 - half), pytest.approx(0.6 + half))
-        assert rep.featurize_seconds == 1.25
         blob = rep.to_jsonable()
-        assert set(blob) == {"accuracies", "mean", "ci95", "featurize_seconds"}
+        assert set(blob) == {"accuracies", "mean", "ci95"}
 
     def test_single_fold_has_degenerate_interval(self):
-        rep = CvReport.from_accuracies([0.8])
+        rep = CvReport([0.8])
         assert rep.ci95 == (0.8, 0.8)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            CvReport.from_accuracies([])
+            CvReport([])
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_values_are_the_stored_formulas(self, acc):
+        # The mean and interval written out here are the oracle.
+        mean = float(np.mean(acc))
+        half = 1.96 * float(np.std(acc, ddof=1)) / math.sqrt(len(acc)) if len(acc) > 1 else 0.0
+        rep = CvReport(acc)
+        blob = rep.to_jsonable()
+        assert blob == {"accuracies": acc, "mean": mean, "ci95": [mean - half, mean + half]}
+        assert CvReport.from_jsonable(json.loads(json.dumps(blob))) == rep
+
+    @pytest.mark.parametrize("acc", [[1.5, 2.0], [-3, 0.5], ["0.5", "0.7"], [0.5, math.nan],
+                                     [True, 0.5]],
+                             ids=["above-one", "negative", "strings", "nan", "bool"])
+    def test_impossible_accuracy_rejected(self, acc):
+        with pytest.raises(ValueError, match=r"is not a number in \[0, 1\]"):
+            CvReport(acc)
+
+    def test_integer_accuracies_read_as_floats(self):
+        assert CvReport([0, 1]).accuracies == (0.0, 1.0)
 
 
 def tiny_graph(gid):
@@ -367,8 +388,8 @@ def test_fold_without_two_training_classes_is_rejected():
 
 class TestCompare:
     def test_clear_winner(self):
-        good = CvReport.from_accuracies([0.9, 0.92, 0.91, 0.89, 0.9] * 4)
-        bad = CvReport.from_accuracies([0.5, 0.52, 0.51, 0.49, 0.5] * 4)
+        good = CvReport([0.9, 0.92, 0.91, 0.89, 0.9] * 4)
+        bad = CvReport([0.5, 0.52, 0.51, 0.49, 0.5] * 4)
         out = compare_reports(good, bad, "strong", "weak")
         assert out["verdict"] == "A"
         assert out["meanDiff"] > 0
@@ -377,13 +398,19 @@ class TestCompare:
         assert swapped["verdict"] == "B"
 
     def test_identical_reports_tie(self):
-        rep = CvReport.from_accuracies([0.7] * 10)
+        rep = CvReport([0.7] * 10)
         out = compare_reports(rep, rep, "x", "y")
         assert out["verdict"] == "="
         assert out["p"] == 1.0
         assert out["meanDiff"] == 0.0
 
     def test_wire_format(self):
-        rep = CvReport.from_accuracies([0.7, 0.8] * 10)
+        rep = CvReport([0.7, 0.8] * 10)
         out = compare_reports(rep, rep, "x", "y")
         assert set(out) == {"methodA", "methodB", "meanDiff", "U", "p", "verdict"}
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -1.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        rep = CvReport([0.7, 0.8] * 10)
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+            compare_reports(rep, rep, "x", "y", alpha=alpha)

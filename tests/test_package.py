@@ -1,5 +1,6 @@
 """Package hygiene: the public names resolve, each has a reader outside the
-tests, and no module imports what it never reads."""
+tests, no module imports what it never reads, and no function takes a
+parameter that it never reads."""
 
 from __future__ import annotations
 
@@ -16,6 +17,14 @@ SRC = Path(provkit.__file__).parent
 #: Imports that a module keeps without reading them, by (module, name).
 #: perfbench/workloads.py patches ``mlpipe.svm_train`` for its traced replay.
 KEPT_IMPORTS = {("mlpipe", "svm_train")}
+
+#: Parameters that a function keeps without reading them, by (module, function).
+#: ``warnings.showwarning`` fixes the signature of ``cli._print_warning``, and
+#: perfbench/workloads.py passes ``threads`` to ``mlpipe.repeated_kfold``.
+KEPT_PARAMETERS = {
+    ("cli", "_print_warning"): {"category", "filename", "lineno", "file", "line"},
+    ("mlpipe", "repeated_kfold"): {"threads"},
+}
 
 
 def test_every_public_name_resolves_once():
@@ -92,3 +101,20 @@ def test_no_unused_module_level_import(path):
     unused = [name for name in _imported_names(tree)
               if name not in read and (path.stem, name) not in KEPT_IMPORTS]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            kept = KEPT_PARAMETERS.get((path.stem, name), set())
+            unread += [f"{path.stem}.{name}({p})" for p in params if p not in read | kept]
+    assert unread == []
