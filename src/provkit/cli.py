@@ -36,10 +36,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # OpenBLAS starts a worker thread per core when numpy loads, which every
-# short CLI run pays for, and no provkit path gains from a second one: the
-# Gram product is int64, which numpy computes without BLAS, and the only
-# BLAS call is the small per-fold gemv of the SVM decision values.  A value
-# the user has set still wins.
+# short CLI run pays for, and no provkit path gains enough from a second one:
+# the BLAS calls are the exact float64 Gram product, 0.02 s on one thread of
+# a 2-core host for 1200 graphs x 818 columns, and the small per-fold gemv of
+# the SVM decision values.  A value the user has set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

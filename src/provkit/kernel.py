@@ -169,15 +169,22 @@ def _count_gram(x: np.ndarray, graph_ids: tuple[str, ...], normalize: bool) -> G
     """Gram matrix of a non-negative integer count matrix (graphs x columns).
 
     Entries are exact int64 dot products of the rows.  By Cauchy-Schwarz no
-    entry, and no partial sum of non-negative terms, exceeds the largest
-    self-kernel, so ``OverflowError`` is raised when that reaches 2**62.
+    entry, and no product or partial sum of non-negative terms in any order,
+    exceeds the largest self-kernel, so ``OverflowError`` is raised when that
+    reaches 2**62.  Below 2**53 every such integer is a float64, so the BLAS
+    float64 product is exact; the self-kernels here are a float64 estimate,
+    off by a relative ``columns * 2**-53`` at most, so the switch is at 2**52.
     """
-    self_kernels = np.square(x, dtype=np.float64).sum(axis=1)
-    if self_kernels.max(initial=0.0) >= 2.0**62:
+    top = np.square(x, dtype=np.float64).sum(axis=1).max(initial=0.0)
+    if top >= 2.0**62:
         raise OverflowError(
             "exact 64-bit kernel accumulation could overflow for this family"
         )
-    values = x @ x.T
+    if top < 2.0**52:
+        xf = x.astype(np.float64)
+        values = (xf @ xf.T).astype(np.int64)
+    else:
+        values = x @ x.T
     if not normalize:
         return GramMatrix(graph_ids, values)
     diag = np.diagonal(values).astype(np.float64)

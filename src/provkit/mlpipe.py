@@ -51,9 +51,11 @@ class CvReport:
     def from_jsonable(cls, blob: dict) -> "CvReport":
         """The report of ``blob``'s accuracies, which its stated mean must match."""
         try:
-            report, stated = cls(blob["accuracies"]), float(blob["mean"])
+            report, stated = cls(blob["accuracies"]), blob["mean"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed CV report: {exc}") from exc
+        if not isinstance(stated, (int, float)) or isinstance(stated, bool):
+            raise ValueError(f"stated mean {stated!r} is not a number")
         if not math.isclose(stated, report.mean, rel_tol=1e-9):
             raise ValueError(f"stated mean {stated!r} is not its accuracies' mean {report.mean!r}")
         return report

@@ -273,6 +273,47 @@ class GraphFamily:
         )
         return family
 
+    @classmethod
+    def _join(cls, parts: Iterable["GraphFamily"]) -> "GraphFamily":
+        """Every graph of ``parts``, in order, as one family.
+
+        Joined from the parts' columns, which are already valid, and equal to
+        the family built from all their records at once: each part's nodes
+        and edges move past the parts before it, and label sets are
+        renumbered in order of first appearance.  A graph id that repeats
+        across parts is a :class:`DataFormatError`.
+        """
+        graph_ids: list[str] = []
+        node_ids: list[str] = []
+        canon: dict[frozenset[str], int] = {}
+        # Per-part column parts, each seeded so that concatenation never sees none.
+        columns = [[np.empty(0, t)] for t in (np.int64, np.int64, np.intc, np.int32, np.int32, np.int8)]
+        n_count, e_count, node_sets, src, dst, codes = columns
+        seen: set[str] = set()
+        for part in parts:
+            if not seen.isdisjoint(part.graph_ids):
+                gid = next(gid for gid in part.graph_ids if gid in seen)
+                raise DataFormatError(f"graph {gid!r}: duplicate graph id")
+            seen.update(part.graph_ids)
+            base = len(node_ids)
+            n_count.append(np.diff(part.node_offsets))
+            e_count.append(np.diff(part.edge_offsets))
+            renumber = np.array([canon.setdefault(s, len(canon)) for s in part.label_sets], np.intc)
+            node_sets.append(renumber[part.node_sets])
+            src.append(part.src + base)
+            dst.append(part.dst + base)
+            codes.append(part.edge_labels)
+            graph_ids += part.graph_ids
+            node_ids += part.node_ids
+        n_count, e_count, node_sets, src, dst, codes = map(np.concatenate, columns)
+        node_offsets, edge_offsets = (np.concatenate(([0], np.cumsum(c))) for c in (n_count, e_count))
+        family = cls.__new__(cls)
+        family._set_columns(
+            tuple(graph_ids), node_offsets, tuple(node_ids), node_sets, tuple(canon),
+            edge_offsets, src, dst, codes,
+        )
+        return family
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphFamily):
             return NotImplemented

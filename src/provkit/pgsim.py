@@ -49,7 +49,9 @@ player through its own distance scans and fresh generators:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -370,24 +372,43 @@ def simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
     return [rec.build() for rec in recorders]
 
 
+def _run_family(params: SimParams, run: int) -> GraphFamily:
+    """Run ``run``'s graphs as a one-run family, built where the run is played."""
+    return GraphFamily.from_records(
+        (g.graph_id, g.nodes.items(), g.edges) for g in simulate_run(params, run)
+    )
+
+
 def generate_dataset(params: SimParams) -> Dataset:
     """Run every sim for one mode and package the graphs with team labels.
 
     Run i draws from seed ``params.seed + i``, so a batch is a deterministic
     function of (mode, n_sims, seed) and individual runs can be reproduced
-    in isolation.
+    in isolation.  The runs are independent, so they are played in a
+    ``fork`` pool of ``min(n_sims, usable CPUs)`` workers, in process where
+    that is one or ``fork`` is missing; each returns its one-run family and
+    the families are joined in run order, so the dataset is the same for
+    any number of workers.  No worker outlives the call.
     """
-    labels: dict[str, str] = {}
+    import multiprocessing
 
-    def records():
-        # One run's graphs at a time: each is flattened into the family and
-        # dropped before the next run starts.
-        for run in range(params.n_sims):
-            for i, g in enumerate(simulate_run(params, run)):
-                labels[g.graph_id] = TEAMS[i % 3]
-                yield g.graph_id, g.nodes.items(), g.edges
-
-    family = GraphFamily.from_records(records())
+    play = partial(_run_family, params)
+    runs = range(params.n_sims)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(params.n_sims, len(affinity(0))) if affinity else 1
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        family = GraphFamily._join(map(play, runs))
+    else:
+        # fork, not spawn: a worker starts with the simulator and numpy that
+        # the parent has already imported.  Leaving the block terminates and
+        # joins the workers, also on a raise.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            family = GraphFamily._join(pool.imap(play, runs))
+            pool.close()
+            pool.join()
+    # n_players is a multiple of 3, so the graph at family position k is
+    # player k % n_players of its run, on team k % 3.
+    labels = {gid: TEAMS[k % 3] for k, gid in enumerate(family.graph_ids)}
     meta = {
         "generator": "pgsim",
         "mode": params.mode,
@@ -396,4 +417,3 @@ def generate_dataset(params: SimParams) -> Dataset:
         "params": params.to_jsonable(),
     }
     return Dataset(family=family, class_labels=labels, meta=meta)
-

@@ -72,7 +72,7 @@ _RUN_AND_LIST = (
     "import sys\n"
     "from provkit.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('provkit.'))))\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('provkit.') or m == 'multiprocessing')))\n"
     "sys.exit(rc)\n"
 )
 
@@ -103,6 +103,7 @@ class TestStartup:
         loaded = set(_child("-c", _RUN_AND_LIST, *argv).split())
         assert "provkit.storage" in loaded  # the listing saw the run
         assert loaded.isdisjoint(f"provkit.{name}" for name in absent)
+        assert "multiprocessing" not in loaded  # only the simulator starts workers
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
     def test_cli_import_defaults_openblas_to_one_thread(self, preset, want):
@@ -413,14 +414,18 @@ class TestCompare:
     @pytest.mark.parametrize("blob, message", [
         ({"accuracies": [0.5, 0.6], "mean": 0.1}, "stated mean 0.1 is not its accuracies' mean"),
         ({"accuracies": [], "mean": 0.0}, "no accuracies"),
-    ], ids=["wrong-mean", "empty"])
+        ({"accuracies": [0.5, 0.7], "mean": "0.6"}, "stated mean '0.6' is not a number"),
+        ({"accuracies": [1, 1], "mean": True}, "stated mean True is not a number"),
+    ], ids=["wrong-mean", "empty", "string-mean", "bool-mean"])
     def test_report_refused_with_its_path(self, tmp_path, capsys, blob, message):
-        # A report is rebuilt from its accuracies; its stated mean must be theirs.
+        # A report is rebuilt from its accuracies; its stated mean must be
+        # theirs, and a number by the accuracies' rule (int or float, not bool).
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**blob, "ci95": [0.0, 1.0]}), encoding="utf-8")
         ok = self.write_report(tmp_path / "ok.json", [0.5] * 4)
         assert run("compare", ok, bad) == 3
-        assert f"{bad}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
     @pytest.mark.parametrize("accuracies, mean", [
         ([1.5, 2.0], 1.75), ([-3, 0.5], -1.25), (["0.5", "0.7"], 0.6), ([0.5, float("nan")], 0.5),

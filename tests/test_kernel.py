@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import random
 import re
 from collections import Counter
@@ -19,6 +20,7 @@ from provkit.kernel import (
     FeatureMatrix,
     GramMatrix,
     TypeUniverse,
+    _count_gram,
     build_universe,
     distance_report,
     featurize,
@@ -377,3 +379,21 @@ def test_float_gram_csv_matches_per_element_oracle(data):
     ids = tuple(f"g{i}" for i in range(len(values)))
     want = _gram_csv_oracle(ids, values, lambda x: format(float(x), ".17g"))
     assert gram_to_csv(GramMatrix(ids, values)) == want
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_count_gram_is_exact_on_both_sides_of_the_float64_switch(data):
+    # Each row's self-kernel lands within 2**30 of 2**52, where the product
+    # switches from float64 BLAS to int64, or of 2**53, where float64 stops
+    # holding every integer: a head entry near 2**26 tops up a small tail.
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    x = np.zeros((rows, cols), np.int64)
+    for row in x:
+        target = data.draw(st.sampled_from([2**52, 2**53])) + data.draw(st.integers(-(2**30), 2**30))
+        row[1:] = data.draw(st.lists(st.integers(0, 2**22), min_size=cols - 1, max_size=cols - 1))
+        row[0] = math.isqrt(target - int(np.square(row[1:]).sum()))
+    ids = tuple(f"g{i}" for i in range(rows))
+    got = _count_gram(x, ids, False).values
+    assert got.dtype == np.int64
+    assert got.tobytes() == (x @ x.T).tobytes()

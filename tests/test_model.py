@@ -5,8 +5,10 @@ import json
 import random
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,55 @@ def test_one_fault_one_error(tmp_path, graph_id, nodes, edges):
         messages.add(str(caught.value))
     assert len(messages) == 1 and messages.pop().startswith(f"graph {graph_id!r}: ")
     assert main(["types", "--data", str(path)]) == 3
+
+
+_LISTINGS = (["ent"], ["act"], ["ag"], ["ent", "x:A"], ["x:A", "ent"], ["act", "x:B"], ["ent", "x:A", "x:B"])
+
+
+@st.composite
+def _records(draw):
+    """1-6 graph records with 1-5 nodes each, 0-6 edges each, and label
+    listings from a small pool, some of them one set in two orders."""
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        ids = [f"n{j}" for j in range(draw(st.integers(1, 5)))]
+        nodes = [(nid, draw(st.sampled_from(_LISTINGS))) for nid in ids]
+        edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(EDGE_LABEL_ORDER))
+        records.append((f"g{i}", nodes, draw(st.lists(edge, max_size=6))))
+    return records
+
+
+def _assert_same_columns(got: GraphFamily, want: GraphFamily) -> None:
+    for f in fields(GraphFamily):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestJoin:
+    @given(_records(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_joined_chunks_equal_the_whole(self, records, data):
+        cuts = data.draw(st.sets(st.integers(1, len(records) - 1)) if len(records) > 1 else st.just(set()))
+        bounds = [0, *sorted(cuts), len(records)]
+        chunks = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+        joined = GraphFamily._join(GraphFamily.from_records(chunk) for chunk in chunks)
+        _assert_same_columns(joined, GraphFamily.from_records(records))
+
+    def test_label_set_first_seen_in_a_later_chunk(self):
+        records = [("a", [("n", ["ent"])], []),
+                   ("b", [("m", ["act", "x:B"]), ("n", ["ent"])], [("m", "n", "use")])]
+        joined = GraphFamily._join(GraphFamily.from_records([r]) for r in records)
+        assert joined.label_sets == (frozenset({"ent"}), frozenset({"act", "x:B"}))
+        _assert_same_columns(joined, GraphFamily.from_records(records))
+
+    def test_graph_id_repeated_across_chunks_refused(self):
+        one = GraphFamily.from_records([("g", [("n", ["ent"])], [])])
+        two = GraphFamily.from_records([("h", [("n", ["ent"])], []), ("g", [("n", ["act"])], [])])
+        with pytest.raises(DataFormatError, match=r"^graph 'g': duplicate graph id$"):
+            GraphFamily._join([one, two])
 
 
 def test_read_json_reports_the_file(tmp_path):

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from provkit.pgsim import (
     generate_dataset,
     simulate_run,
 )
+from provkit.storage import dataset_texts
 
 TINY = dict(
     n_sims=2,
@@ -344,6 +348,29 @@ class TestDataset:
         assert disposed["Valor"] == 0
         assert disposed["Mystic"] > 0
         assert disposed["Instinct"] > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, mode):
+        params = SimParams(mode=mode, **{**TINY, "n_sims": 3})
+        texts = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            texts.append(dataset_texts(generate_dataset(params)))
+        assert texts[0] == texts[1]
+
+    def test_failed_run_reaches_the_caller_and_leaves_no_worker(self, monkeypatch):
+        real = pgsim.simulate_run
+
+        def failing(params, run):
+            if run == 1:
+                raise ValueError("run 1 failed")
+            return real(params, run)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pgsim, "simulate_run", failing)
+        with pytest.raises(ValueError, match="^run 1 failed$"):
+            generate_dataset(SimParams(**{**TINY, "n_sims": 3}))
+        assert multiprocessing.active_children() == []
 
     def test_graph_ids_encode_mode_run_player(self):
         ds = generate_dataset(SimParams(**TINY))
