@@ -228,8 +228,7 @@ class GraphFamily:
             node_offsets.append(len(node_ids))
             edge_offsets.append(edge_offsets[-1] + len(edges))
         node_sets, src, dst, codes = map(np.concatenate, parts)
-        # Exact while (nodes ** 2) * 16 < 2**63, far more nodes than fit in memory.
-        order = np.argsort((src.astype(np.int64) * len(node_ids) + dst) * 16 + codes, kind="stable")
+        order = _edge_order(src, dst, codes, len(node_ids))
         self._set_columns(
             tuple(graph_ids), np.frombuffer(node_offsets, np.int64), tuple(node_ids),
             node_sets, tuple(label_sets),
@@ -259,17 +258,13 @@ class GraphFamily:
         nodes = np.arange(node_offsets[-1]) + np.repeat(shift, n_count)
         edges = np.arange(edge_offsets[-1]) + np.repeat(e[kept] - edge_offsets[:-1], e_count)
         edge_shift = np.repeat(shift, e_count).astype(self.src.dtype)
-        sets = self.node_sets[nodes]
-        used, first = np.unique(sets, return_index=True)
-        used = used[np.argsort(first)]
-        renumber = np.zeros(len(self.label_sets), self.node_sets.dtype)
-        renumber[used] = np.arange(len(used))
+        node_sets, label_sets = _in_first_appearance(self.node_sets[nodes], self.label_sets)
         family = GraphFamily.__new__(GraphFamily)
         family._set_columns(
             tuple(map(self.graph_ids.__getitem__, kept.tolist())), node_offsets,
-            tuple(map(self.node_ids.__getitem__, nodes.tolist())), renumber[sets],
-            tuple(map(self.label_sets.__getitem__, used.tolist())), edge_offsets,
-            self.src[edges] - edge_shift, self.dst[edges] - edge_shift, self.edge_labels[edges],
+            tuple(map(self.node_ids.__getitem__, nodes.tolist())), node_sets, label_sets,
+            edge_offsets, self.src[edges] - edge_shift, self.dst[edges] - edge_shift,
+            self.edge_labels[edges],
         )
         return family
 
@@ -373,6 +368,22 @@ class GraphFamily:
                 f"node {self.node_ids[v]!r} has no generic label; cannot strip to generic mode"
             )
         return tuple(ids), node_sets
+
+
+def _edge_order(src: np.ndarray, dst: np.ndarray, codes: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The stable permutation that sorts edges by ``(src, dst, label)`` codes."""
+    # Exact while (nodes ** 2) * 16 < 2**63, far more nodes than fit in memory.
+    return np.argsort((src.astype(np.int64) * n_nodes + dst) * 16 + codes, kind="stable")
+
+
+def _in_first_appearance(node_sets: np.ndarray, label_sets: Sequence) -> tuple[np.ndarray, tuple]:
+    """The label sets that ``node_sets`` use, renumbered in order of first
+    appearance: the new node codes and the used sets."""
+    used, first = np.unique(node_sets, return_index=True)
+    used = used[np.argsort(first)]
+    renumber = np.zeros(len(label_sets), np.intc)
+    renumber[used] = np.arange(len(used))
+    return renumber[node_sets], tuple(map(label_sets.__getitem__, used.tolist()))
 
 
 def _label_fault(nid: str, labels: frozenset) -> str | None:

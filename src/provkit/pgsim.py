@@ -36,7 +36,11 @@ player through its own distance scans and fresh generators:
 * Creatures move only when the world refreshes at the start of a tick, and
   each player moves only itself, so one players x stops and one players x
   creatures distance matrix taken right after the refresh hold every
-  player's exact pre-step distances for the whole tick.
+  player's exact pre-step distances for the whole tick.  Both scans are
+  written in place, with int64 ``subtract``/``abs``/``minimum``/``maximum``
+  into buffers made once per run.  Coordinates lie in ``[0, size)``, so
+  ``|b - a|`` does too and the short way round is ``min(d, size - d)``
+  with no ``% size``.
 * Within a tick creatures only die.  A target picked (first index of the
   minimum or maximum) over every creature is therefore still the pick over
   the living while it lives; only a player whose pick an earlier player
@@ -45,6 +49,14 @@ player through its own distance scans and fresh generators:
   run and rewound to counter ``[tick, 0, 0, 0]`` with an empty buffer before
   each draw, which draws exactly what a fresh generator at that counter
   draws.
+
+Each player's graph is recorded as integer columns: per node a code into a
+fixed table of nine label sets (agent, player, state, one per activity
+kind, stop, creature) and the number in its id, per edge two node positions
+and an edge-label code.  The run's one-run family is built from them once:
+each id is formatted once, each graph's nodes are sorted by id and its
+edges put in ``(src, dst, label)`` order, which is what the validating
+family build makes of the same graphs.
 """
 
 from __future__ import annotations
@@ -55,7 +67,9 @@ from functools import partial
 
 import numpy as np
 
-from .model import Dataset, GraphFamily, ProvGraph
+from .model import (
+    EDGE_LABEL_ORDER, Dataset, GraphFamily, ProvGraph, _edge_order, _in_first_appearance,
+)
 
 TEAMS = ("Valor", "Mystic", "Instinct")
 MODES = ("targeting", "disposal")
@@ -72,12 +86,23 @@ APPLICATION_LABELS = (
     "pg:Throwing",
 )
 
-_ACTIVITY_LABEL = {
-    "collecting": "pg:Collecting",
-    "throwing": "pg:Throwing",
-    "capturing": "pg:Capturing",
-    "disposing": "pg:Disposing",
-}
+# A recorded node's label-set code indexes this table of its id prefix and
+# its labels; agent and player ids are the bare prefix.
+_NODE_KINDS = (
+    ("agent", frozenset({"ag"})),
+    ("player", frozenset({"ent", "pg:Player"})),
+    ("state", frozenset({"ent", "pg:PlayerState"})),
+    ("collecting", frozenset({"act", "pg:Collecting"})),
+    ("throwing", frozenset({"act", "pg:Throwing"})),
+    ("capturing", frozenset({"act", "pg:Capturing"})),
+    ("disposing", frozenset({"act", "pg:Disposing"})),
+    ("pokestop", frozenset({"ent", "pg:PokeStop"})),
+    ("pokemon", frozenset({"ent", "pg:Pokemon"})),
+)
+(_AGENT, _PLAYER, _STATE, _COLLECTING, _THROWING, _CAPTURING, _DISPOSING,
+ _STOP, _CREATURE) = range(len(_NODE_KINDS))
+_USE, _WAW, _GEN, _DER, _SPE = map(EDGE_LABEL_ORDER.index, ("use", "waw", "gen", "der", "spe"))
+_FAR = np.iinfo(np.int64).max  # past any distance or strength
 
 
 @dataclass(frozen=True)
@@ -117,6 +142,12 @@ class SimParams:
             raise ValueError("counts must be positive")
         if self.max_storage < 1 or self.max_ticks < 1 or self.initial_balls < 0:
             raise ValueError("bad capacity settings")
+        # Each range is drawn from, so an empty one would fail inside numpy.
+        if self.strength_max < 1:
+            raise ValueError("strength_max must be at least 1")
+        for low, high in (("lifetime_min", "lifetime_max"), ("collect_min", "collect_max")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{low} must not exceed {high}")
 
     def to_jsonable(self) -> dict:
         out = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -137,10 +168,12 @@ class _TickStream:
         key = np.array([run_seed, stream], dtype=np.uint64)
         self._bit = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bit)
+        # Lists, not arrays: the state setter reads them item by item, and a
+        # Python int converts several times faster than a numpy scalar.
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": key.tolist()},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -152,52 +185,36 @@ class _TickStream:
         return self._gen
 
 
-def _torus_delta(a: int, b: int, size: int) -> int:
-    """Signed shortest move from a toward b on a ring of the given size."""
-    d = (int(b) - int(a)) % size
-    if d > size // 2:
-        d -= size
-    return d
+def _torus_dist(ax, ay, bx, by, grid, out):
+    """Chebyshev distance on the torus from points a to points b, broadcast.
+
+    Written in place into the first of ``out``'s three int64 buffers of the
+    broadcast shape, and returned.  Coordinates lie in ``[0, size)``, so
+    ``|b - a|`` does too and the short way round is ``min(d, size - d)``
+    without a ``% size``.
+    """
+    dx, dy, spare = out
+    for d, a, b, size in ((dx, ax, bx, grid[0]), (dy, ay, by, grid[1])):
+        np.subtract(b, a, out=d)
+        np.abs(d, out=d)
+        np.subtract(size, d, out=spare)
+        np.minimum(d, spare, out=d)
+    return np.maximum(dx, dy, out=dx)
 
 
-def _torus_dist(ax, ay, bx, by, grid):
-    gx, gy = grid
-    dx = np.abs(bx - ax) % gx
-    dy = np.abs(by - ay) % gy
-    dx = np.minimum(dx, gx - dx)
-    dy = np.minimum(dy, gy - dy)
-    return np.maximum(dx, dy)
+def _choose_target(mode: str, team: str, dist, strength: np.ndarray, alive: np.ndarray) -> int:
+    """Index of the creature this player walks toward, or -1 if none left.
 
-
-def _step_toward(px: int, py: int, tx: int, ty: int, grid) -> tuple[int, int]:
-    gx, gy = grid
-    dx = _torus_delta(px, tx, gx)
-    dy = _torus_delta(py, ty, gy)
-    sx = (dx > 0) - (dx < 0)
-    sy = (dy > 0) - (dy < 0)
-    return (int(px) + sx) % gx, (int(py) + sy) % gy
-
-
-def _choose_target(
-    mode: str,
-    team: str,
-    px: int,
-    py: int,
-    pox: np.ndarray,
-    poy: np.ndarray,
-    strength: np.ndarray,
-    alive: np.ndarray,
-    grid,
-) -> int:
-    """Index of the creature this player walks toward, or -1 if none left."""
+    ``dist`` holds the player's distance to every creature; only chasers of
+    the closest creature read it.
+    """
     if not alive.any():
         return -1
     if mode == "disposal" or team == "Instinct":
-        dist = _torus_dist(px, py, pox, poy, grid)
-        return int(np.argmin(np.where(alive, dist, np.iinfo(np.int64).max)))
+        return int(np.where(alive, dist, _FAR).argmin())
     if team == "Valor":
-        return int(np.argmax(np.where(alive, strength, -1)))
-    return int(np.argmin(np.where(alive, strength, np.iinfo(np.int64).max)))
+        return int(np.where(alive, strength, -1).argmax())
+    return int(np.where(alive, strength, _FAR).argmin())
 
 
 def _dispose_pick(team: str, storage: list[tuple[int, int, int]]) -> int:
@@ -210,53 +227,83 @@ def _dispose_pick(team: str, storage: list[tuple[int, int, int]]) -> int:
     return int(np.argmin(strengths))  # weakest; earliest wins ties
 
 
-class _Recorder:
-    """Accumulates one player's provenance graph."""
+class _PlayerColumns:
+    """One player's graph as it is played, in integer columns.
 
-    def __init__(self, graph_id: str):
-        self.graph_id = graph_id
-        self.nodes: dict[str, set[str]] = {
-            "agent": {"ag"},
-            "player": {"ent", "pg:Player"},
-            "state0": {"ent", "pg:PlayerState"},
-        }
-        self.edges: list[tuple[str, str, str]] = [("state0", "player", "spe")]
-        self.state = "state0"
-        self.n_states = 0
-        self.counts: dict[str, int] = {}
+    Node ``k`` has the label-set code ``kinds[k]`` into ``_NODE_KINDS`` and
+    the id number ``nums[k]``; nodes 0 and 1 are the agent and the player,
+    whose ids carry no number.  ``edges`` holds flat ``(src, dst, code)``
+    triples of node positions and edge-label codes.
+    """
 
-    def ensure_object(self, node_id: str, label: str) -> None:
-        if node_id not in self.nodes:
-            self.nodes[node_id] = {"ent", label}
+    __slots__ = ("kinds", "nums", "edges", "objects", "counts", "state")
 
-    def record(self, kind: str, obj_id: str, obj_label: str) -> None:
-        i = self.counts.get(kind, 0)
-        self.counts[kind] = i + 1
-        act = f"{kind}{i}"
-        self.n_states += 1
-        new = f"state{self.n_states}"
-        self.ensure_object(obj_id, obj_label)
-        self.nodes[act] = {"act", _ACTIVITY_LABEL[kind]}
-        self.nodes[new] = {"ent", "pg:PlayerState"}
-        prior = self.state
-        self.edges.extend(
-            [
-                (act, prior, "use"),
-                (act, obj_id, "use"),
-                (act, "agent", "waw"),
-                (new, act, "gen"),
-                (new, prior, "der"),
-                (new, "player", "spe"),
-            ]
-        )
-        self.state = new
+    def __init__(self) -> None:
+        self.kinds = [_AGENT, _PLAYER, _STATE]
+        self.nums = [0, 0, 0]
+        self.edges = [2, 1, _SPE]
+        self.objects: dict[tuple[int, int], int] = {}  # (kind, number) -> position
+        self.counts = [0] * len(_NODE_KINDS)  # next id number, per kind
+        self.counts[_STATE] = 1
+        self.state = 2
 
-    def build(self) -> ProvGraph:
-        # Ids and labels are strings and every edge end is a recorded node,
-        # so ProvGraph's checks are skipped; generate_dataset's family build
-        # validates the graph once.
-        nodes = {nid: frozenset(labels) for nid, labels in self.nodes.items()}
-        return ProvGraph._canonical(self.graph_id, nodes, tuple(sorted(self.edges)))
+    def record(self, kind: int, obj_kind: int, obj_num: int) -> None:
+        """An activity of ``kind`` on the object, from the current state to a new one."""
+        obj = self.objects.get((obj_kind, obj_num))
+        if obj is None:
+            obj = self.objects[obj_kind, obj_num] = len(self.kinds)
+            self.kinds.append(obj_kind)
+            self.nums.append(obj_num)
+        act, prior, counts = len(self.kinds), self.state, self.counts
+        new = self.state = act + 1
+        self.kinds += (kind, _STATE)
+        self.nums += (counts[kind], counts[_STATE])
+        counts[kind] += 1
+        counts[_STATE] += 1
+        self.edges += (act, prior, _USE, act, obj, _USE, act, 0, _WAW,
+                       new, act, _GEN, new, prior, _DER, new, 1, _SPE)
+
+
+def _family(graph_ids: list[str], players: list[_PlayerColumns]) -> GraphFamily:
+    """The graphs of ``players`` as one family, built once from their columns.
+
+    Each id is formatted once; each graph's nodes are put in sorted id order,
+    edges in ``(src, dst, label)`` code order and label sets in order of
+    first appearance, which is what ``GraphFamily.from_records`` makes of
+    the same graphs.
+    """
+    prefix, label_sets = zip(*_NODE_KINDS)
+    node_ids: list[str] = []
+    order: list[int] = []  # family position -> played position, over the run
+    kinds: list[int] = []
+    edges: list[int] = []
+    node_offsets, edge_offsets = [0], [0]
+    for cols in players:
+        numbered = map("{}{}".format, map(prefix.__getitem__, cols.kinds[2:]), cols.nums[2:])
+        ids = ["agent", "player", *numbered]
+        local = sorted(range(len(ids)), key=ids.__getitem__)
+        node_ids += map(ids.__getitem__, local)
+        order += map(node_offsets[-1].__add__, local)
+        kinds += cols.kinds
+        edges += cols.edges
+        node_offsets.append(len(kinds))
+        edge_offsets.append(len(edges) // 3)
+    n = len(kinds)
+    rank = np.empty(n, np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    node_offsets, edge_offsets = np.array(node_offsets), np.array(edge_offsets)
+    edges = np.array(edges, np.int32).reshape(-1, 3)
+    base = np.repeat(node_offsets[:-1].astype(np.int32), np.diff(edge_offsets))
+    src, dst = rank[edges[:, 0] + base], rank[edges[:, 1] + base]
+    codes = edges[:, 2].astype(np.int8)
+    by_edge = _edge_order(src, dst, codes, n)
+    node_sets, label_sets = _in_first_appearance(np.array(kinds, np.intc)[order], label_sets)
+    family = GraphFamily.__new__(GraphFamily)
+    family._set_columns(
+        tuple(graph_ids), node_offsets, tuple(node_ids), node_sets, label_sets,
+        edge_offsets, src[by_edge], dst[by_edge], codes[by_edge],
+    )
+    return family
 
 
 class _World:
@@ -298,85 +345,94 @@ class _World:
         self.alive[idx] = True
 
 
-def simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
-    """Play one full run and return one graph per player, in player order."""
+def _run_family(params: SimParams, run: int) -> GraphFamily:
+    """Play one full run and return its graphs, one per player in player
+    order, as a one-run family."""
     p = params
+    gx, gy = p.grid
+    hx, hy = gx // 2, gy // 2
     run_seed = p.seed + run
     world = _World(p, run_seed)
+    # refresh writes into these arrays in place.
+    pox, poy, uid_of, alive, strength = world.pox, world.poy, world.uid, world.alive, world.strength
     px, py = world.px, world.py
     stops = list(zip(world.stop_x.tolist(), world.stop_y.tolist()))
     streams = [_TickStream(run_seed, 1 + i) for i in range(p.n_players)]
     balls = [p.initial_balls] * p.n_players
     storage: list[list[tuple[int, int, int]]] = [[] for _ in range(p.n_players)]
-    recorders = [
-        _Recorder(f"{p.mode}-s{run:02d}-p{i:02d}") for i in range(p.n_players)
-    ]
+    players = [_PlayerColumns() for _ in range(p.n_players)]
     chasers = [
         i for i in range(p.n_players) if p.mode == "disposal" or TEAMS[i % 3] == "Instinct"
     ]
+    row_of = {i: row for row, i in enumerate(chasers)}  # a chaser's row in the creature scan
+    # The two distance scans of every tick write into these buffers.
+    stop_scan = [np.empty((p.n_players, p.n_pokestops), np.int64) for _ in range(3)]
+    chase_scan = [np.empty((len(chasers), p.n_pokemons), np.int64) for _ in range(3)]
     for tick in range(p.max_ticks):
         world.refresh(tick)
         # Every player's pre-step distances at once: creatures move only in
         # refresh and each player moves only itself.
         ax, ay = np.array(px)[:, None], np.array(py)[:, None]
-        near_stop = _torus_dist(ax, ay, world.stop_x, world.stop_y, p.grid).argmin(axis=1).tolist()
-        alive, strength = world.alive, world.strength
+        stop_dist = _torus_dist(ax, ay, world.stop_x, world.stop_y, p.grid, stop_scan)
+        near_stop = stop_dist.argmin(axis=1).tolist()
         # Targeting: Valor the strongest, Mystic the weakest; chasers the closest.
         picks = [int(strength.argmax()), int(strength.argmin()), -1] * (p.n_players // 3)
-        dist = _torus_dist(ax[chasers], ay[chasers], world.pox, world.poy, p.grid)
-        for i, slot in zip(chasers, dist.argmin(axis=1).tolist()):
+        creature_dist = _torus_dist(ax[chasers], ay[chasers], pox, poy, p.grid, chase_scan)
+        for i, slot in zip(chasers, creature_dist.argmin(axis=1).tolist()):
             picks[i] = slot
         for i in range(p.n_players):
             team = TEAMS[i % 3]
-            rec = recorders[i]
-            # Coordinates stay in range, so a player has arrived exactly when
-            # its square equals the target's; a step toward it from there stays.
             if balls[i] == 0:
-                j = near_stop[i]
-                px[i], py[i] = _step_toward(px[i], py[i], *stops[j], p.grid)
-                if (px[i], py[i]) == stops[j]:
-                    rng = streams[i].at(tick)
-                    balls[i] += int(rng.integers(p.collect_min, p.collect_max + 1))
-                    rec.record("collecting", f"pokestop{j}", "pg:PokeStop")
+                tx, ty = stops[near_stop[i]]
+            else:
+                # A pick over every creature is still the pick over the
+                # living while it lives; otherwise choose again on the
+                # current mask.
+                slot = picks[i]
+                if not alive[slot]:
+                    row = creature_dist[row_of[i]] if i in row_of else None
+                    slot = _choose_target(p.mode, team, row, strength, alive)
+                    if slot < 0:
+                        continue
+                tx, ty = int(pox[slot]), int(poy[slot])
+            # One step on each axis, the short way round the ring (forward
+            # at the antipode).  Coordinates stay in range, so a player has
+            # arrived exactly when its square equals the target's.
+            dx, dy = (tx - px[i]) % gx, (ty - py[i]) % gy
+            px[i] = (px[i] + (0 < dx <= hx) - (dx > hx)) % gx
+            py[i] = (py[i] + (0 < dy <= hy) - (dy > hy)) % gy
+            if px[i] != tx or py[i] != ty:
                 continue
-            # A pick over every creature is still the pick over the living
-            # while it lives; otherwise choose again on the current mask.
-            slot = picks[i]
-            if not alive[slot]:
-                slot = _choose_target(
-                    p.mode, team, px[i], py[i],
-                    world.pox, world.poy, strength, alive, p.grid,
-                )
-                if slot < 0:
-                    continue
-            tx, ty = int(world.pox[slot]), int(world.poy[slot])
-            px[i], py[i] = _step_toward(px[i], py[i], tx, ty, p.grid)
-            if (px[i], py[i]) != (tx, ty):
+            if balls[i] == 0:
+                rng = streams[i].at(tick)
+                balls[i] += int(rng.integers(p.collect_min, p.collect_max + 1))
+                players[i].record(_COLLECTING, _STOP, near_stop[i])
                 continue
             if len(storage[i]) >= p.max_storage:
                 pick = _dispose_pick(team, storage[i]) if p.mode == "disposal" else -1
                 if pick < 0:
                     continue  # blocked: keeps everything, cannot throw
                 uid, _, _ = storage[i].pop(pick)
-                rec.record("disposing", f"pokemon{uid}", "pg:Pokemon")
+                players[i].record(_DISPOSING, _CREATURE, uid)
             balls[i] -= 1
             rng = streams[i].at(tick)
-            r = float(rng.uniform(0.0, p.strength_max))
-            uid, s = int(world.uid[slot]), int(strength[slot])
+            # numpy's uniform(0, high) is 0 + high * random(), so this is the
+            # same draw without the slower argument handling.
+            r = p.strength_max * rng.random()
+            uid, s = int(uid_of[slot]), int(strength[slot])
             if r > s:
                 storage[i].append((uid, s, tick))
                 alive[slot] = False
-                rec.record("capturing", f"pokemon{uid}", "pg:Pokemon")
+                players[i].record(_CAPTURING, _CREATURE, uid)
             else:
-                rec.record("throwing", f"pokemon{uid}", "pg:Pokemon")
-    return [rec.build() for rec in recorders]
+                players[i].record(_THROWING, _CREATURE, uid)
+    graph_ids = [f"{p.mode}-s{run:02d}-p{i:02d}" for i in range(p.n_players)]
+    return _family(graph_ids, players)
 
 
-def _run_family(params: SimParams, run: int) -> GraphFamily:
-    """Run ``run``'s graphs as a one-run family, built where the run is played."""
-    return GraphFamily.from_records(
-        (g.graph_id, g.nodes.items(), g.edges) for g in simulate_run(params, run)
-    )
+def simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
+    """Play one full run and return one graph per player, in player order."""
+    return list(_run_family(params, run).graphs)
 
 
 def generate_dataset(params: SimParams) -> Dataset:

@@ -52,18 +52,18 @@ def _record_fields(record: dict) -> tuple[str, str, list, list]:
     return gid, label, items, edges
 
 
-def dataset_texts(dataset: Dataset) -> dict[str, str]:
-    """The files of a saved dataset, by name: graph records and manifest.
+def _graph_lines(dataset: Dataset) -> Iterator[str]:
+    """The graph file's text, one record line at a time with its newline.
 
-    Each record line is ``json.dumps(record, sort_keys=True,
-    separators=(",", ":"))``, written from the family's columns: node ids
-    and label sets are encoded once each, label sets sorted.
+    Each record is ``json.dumps(record, sort_keys=True, separators=(",",
+    ":"))``, written from the family's columns: node ids and label sets are
+    encoded once each, label sets sorted.  A dataset without graphs is one
+    empty line.
     """
     fam = dataset.family
     sets = [json.dumps(sorted(s), separators=(",", ":")) for s in fam.label_sets]
     labs = [_quote(lab) for lab in EDGE_LABEL_ORDER]
     nodes_at, edges_at = fam.node_offsets.tolist(), fam.edge_offsets.tolist()
-    lines = []
     for gid, a, b, e, f in zip(fam.graph_ids, nodes_at, nodes_at[1:], edges_at, edges_at[1:]):
         ids = list(map(_quote, fam.node_ids[a:b]))
         nodes = map(
@@ -77,28 +77,39 @@ def dataset_texts(dataset: Dataset) -> dict[str, str]:
             map(ids.__getitem__, (fam.dst[e:f] - a).tolist()),
             map(labs.__getitem__, fam.edge_labels[e:f].tolist()),
         )
-        lines.append(
+        yield (
             f'{{"edges":[{",".join(edges)}],"id":{_quote(gid)},'
-            f'"label":{_quote(dataset.class_labels[gid])},"nodes":[{",".join(nodes)}]}}'
+            f'"label":{_quote(dataset.class_labels[gid])},"nodes":[{",".join(nodes)}]}}\n'
         )
+    if not fam.graph_ids:
+        yield "\n"
+
+
+def _manifest_text(dataset: Dataset) -> str:
     manifest = {
         "format": FORMAT_TAG,
         "files": [GRAPHS_NAME],
         "class_labels": dict(sorted(dataset.class_labels.items())),
         "meta": dataset.meta,
     }
-    return {
-        GRAPHS_NAME: "\n".join(lines) + "\n",
-        MANIFEST_NAME: json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-    }
+    return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+
+
+def dataset_texts(dataset: Dataset) -> dict[str, str]:
+    """The files of a saved dataset, by name: graph records and manifest."""
+    return {GRAPHS_NAME: "".join(_graph_lines(dataset)), MANIFEST_NAME: _manifest_text(dataset)}
 
 
 def save_internal(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write ``dataset`` under ``out_dir`` and return the manifest path."""
+    """Write ``dataset`` under ``out_dir`` and return the manifest path.
+
+    The graph file is written a record line at a time, never held whole.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in dataset_texts(dataset).items():
-        (out / name).write_text(text, encoding="utf-8")
+    with (out / GRAPHS_NAME).open("w", encoding="utf-8") as fh:
+        fh.writelines(_graph_lines(dataset))
+    (out / MANIFEST_NAME).write_text(_manifest_text(dataset), encoding="utf-8")
     return out / MANIFEST_NAME
 
 

@@ -16,11 +16,8 @@ from provkit.pgsim import (
     TEAMS,
     _choose_target,
     _dispose_pick,
-    _Recorder,
-    _step_toward,
+    _run_family,
     _TickStream,
-    _torus_delta,
-    _torus_dist,
     _World,
     generate_dataset,
     simulate_run,
@@ -38,6 +35,37 @@ TINY = dict(
 )
 
 
+# The reference simulator's own scalar geometry, kept apart from the
+# simulator's in-place scans so that a rewrite of one cannot move both sides
+# of the reference comparison.
+
+
+def _torus_delta(a: int, b: int, size: int) -> int:
+    """Signed shortest move from a toward b on a ring of the given size."""
+    d = (int(b) - int(a)) % size
+    if d > size // 2:
+        d -= size
+    return d
+
+
+def _torus_dist(ax, ay, bx, by, grid):
+    gx, gy = grid
+    dx = np.abs(bx - ax) % gx
+    dy = np.abs(by - ay) % gy
+    dx = np.minimum(dx, gx - dx)
+    dy = np.minimum(dy, gy - dy)
+    return np.maximum(dx, dy)
+
+
+def _step_toward(px: int, py: int, tx: int, ty: int, grid) -> tuple[int, int]:
+    gx, gy = grid
+    dx = _torus_delta(px, tx, gx)
+    dy = _torus_delta(py, ty, gy)
+    sx = (dx > 0) - (dx < 0)
+    sy = (dy > 0) - (dy < 0)
+    return (int(px) + sx) % gx, (int(py) + sy) % gy
+
+
 class TestGeometry:
     def test_delta_wraps_short_way(self):
         assert _torus_delta(1, 48, 50) == -3
@@ -49,6 +77,17 @@ class TestGeometry:
         assert _step_toward(0, 0, 2, 49, (50, 50)) == (1, 49)
         assert _step_toward(10, 10, 10, 10, (50, 50)) == (10, 10)
 
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 7), (50, 50), (40000, 3), (2**40, 5)])
+    def test_in_place_scan_equals_scalar_distance(self, grid):
+        rng = np.random.default_rng(sum(grid))
+        ax, bx = (rng.integers(0, grid[0], size=n) for n in (6, 40))
+        ay, by = (rng.integers(0, grid[1], size=n) for n in (6, 40))
+        scan = [np.full((6, 40), -1, np.int64) for _ in range(3)]
+        got = pgsim._torus_dist(ax[:, None], ay[:, None], bx, by, grid, scan)
+        assert got is scan[0]
+        want = [[_torus_dist(ax[i], ay[i], bx[j], by[j], grid) for j in range(40)] for i in range(6)]
+        assert got.tolist() == want
+
 
 class TestRules:
     def setup_method(self):
@@ -58,9 +97,8 @@ class TestRules:
         self.alive = np.array([True, True, True])
 
     def pick(self, mode, team, px=4, py=4):
-        return _choose_target(
-            mode, team, px, py, self.pox, self.poy, self.strength, self.alive, (15, 15)
-        )
+        dist = _torus_dist(px, py, self.pox, self.poy, (15, 15))
+        return _choose_target(mode, team, dist, self.strength, self.alive)
 
     def test_targeting_mode_varies_by_team(self):
         assert self.pick("targeting", "Valor") == 1  # strongest
@@ -100,6 +138,24 @@ class TestParams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             SimParams(seed=-1)
+
+    @pytest.mark.parametrize(
+        "bad, fields",
+        [
+            ({"collect_min": 6, "collect_max": 5}, "collect_min .* collect_max"),
+            ({"lifetime_min": 201}, "lifetime_min .* lifetime_max"),
+            ({"strength_max": 0}, "strength_max"),
+            ({"strength_max": -3}, "strength_max"),
+        ],
+    )
+    def test_empty_draw_ranges_rejected(self, bad, fields):
+        with pytest.raises(ValueError, match=fields):
+            SimParams(**bad)
+
+    def test_single_value_draw_ranges_accepted(self):
+        params = SimParams(collect_min=5, collect_max=5, lifetime_min=9, lifetime_max=9,
+                           strength_max=1, n_sims=1, max_ticks=5)
+        assert len(simulate_run(params, 0)) == params.n_players
 
     def test_jsonable_round_trip(self):
         p = SimParams(mode="disposal", seed=3)
@@ -171,8 +227,71 @@ def _stream(run_seed: int, stream: int, tick_word: int) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
+_ACTIVITY_LABEL = {
+    "collecting": "pg:Collecting",
+    "throwing": "pg:Throwing",
+    "capturing": "pg:Capturing",
+    "disposing": "pg:Disposing",
+}
+
+
+class _Recorder:
+    """Accumulates one player's provenance graph as node-id -> label-set
+    dicts and string edge triples."""
+
+    def __init__(self, graph_id: str):
+        self.graph_id = graph_id
+        self.nodes: dict[str, set[str]] = {
+            "agent": {"ag"},
+            "player": {"ent", "pg:Player"},
+            "state0": {"ent", "pg:PlayerState"},
+        }
+        self.edges: list[tuple[str, str, str]] = [("state0", "player", "spe")]
+        self.state = "state0"
+        self.n_states = 0
+        self.counts: dict[str, int] = {}
+
+    def record(self, kind: str, obj_id: str, obj_label: str) -> None:
+        i = self.counts.get(kind, 0)
+        self.counts[kind] = i + 1
+        act = f"{kind}{i}"
+        self.n_states += 1
+        new = f"state{self.n_states}"
+        self.nodes.setdefault(obj_id, {"ent", obj_label})
+        self.nodes[act] = {"act", _ACTIVITY_LABEL[kind]}
+        self.nodes[new] = {"ent", "pg:PlayerState"}
+        prior = self.state
+        self.edges.extend(
+            [
+                (act, prior, "use"),
+                (act, obj_id, "use"),
+                (act, "agent", "waw"),
+                (new, act, "gen"),
+                (new, prior, "der"),
+                (new, "player", "spe"),
+            ]
+        )
+        self.state = new
+
+    def build(self) -> ProvGraph:
+        return ProvGraph(self.graph_id, self.nodes, self.edges)
+
+
+def _reference_choose_target(mode, team, px, py, pox, poy, strength, alive, grid) -> int:
+    """Index of the creature this player walks toward, or -1 if none left."""
+    if not alive.any():
+        return -1
+    if mode == "disposal" or team == "Instinct":
+        dist = _torus_dist(px, py, pox, poy, grid)
+        return int(np.argmin(np.where(alive, dist, np.iinfo(np.int64).max)))
+    if team == "Valor":
+        return int(np.argmax(np.where(alive, strength, -1)))
+    return int(np.argmin(np.where(alive, strength, np.iinfo(np.int64).max)))
+
+
 def _reference_simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
-    """The per-player loop: fresh distances and a fresh Philox stream per step.
+    """The per-player loop: fresh distances and a fresh Philox stream per
+    step, recorded as dicts of label sets.
 
     Independent oracle for ``simulate_run``, which must return equal graphs.
     """
@@ -204,7 +323,7 @@ def _reference_simulate_run(params: SimParams, run: int) -> list[ProvGraph]:
                     balls[i] += int(rng.integers(p.collect_min, p.collect_max + 1))
                     rec.record("collecting", f"pokestop{j}", "pg:PokeStop")
                 continue
-            slot = _choose_target(
+            slot = _reference_choose_target(
                 p.mode, team, world.px[i], world.py[i],
                 world.pox, world.poy, world.strength, world.alive, p.grid,
             )
@@ -262,11 +381,28 @@ def small_games(draw):
     return params, draw(st.integers(0, 3))
 
 
+def _assert_matches_reference(params: SimParams, run: int) -> None:
+    want = _reference_simulate_run(params, run)
+    assert simulate_run(params, run) == want
+    # The one-run family holds the columns that the validating build makes.
+    assert _run_family(params, run) == GraphFamily(want)
+
+
 @given(small_games())
 @settings(max_examples=300, deadline=None)
 def test_simulate_run_matches_reference(game):
-    params, run = game
-    assert simulate_run(params, run) == _reference_simulate_run(params, run)
+    _assert_matches_reference(*game)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "sizes",
+    [{"max_ticks": 60}, {"grid": (40000, 3), "max_ticks": 200}],
+    ids=["default-sizes", "wide-grid"],
+)
+def test_full_size_runs_match_reference(mode, sizes):
+    """Default populations, and a ring wider than int16 holds."""
+    _assert_matches_reference(SimParams(mode=mode, seed=5, n_sims=1, **sizes), 1)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -303,6 +439,14 @@ def test_tick_stream_draws_equal_fresh_streams(seed):
         rng, want = stream.at(tick + 2), _stream(seed, 3, tick + 2)
         assert np.array_equal(rng.integers(0, 50, size=9), want.integers(0, 50, size=9))
         assert np.array_equal(rng.integers(50, 201, size=5), want.integers(50, 201, size=5))
+
+
+def _fail_run_1(params: SimParams, run: int) -> GraphFamily:
+    """``_run_family``, except that run 1 raises; module-level, so that the
+    pool can pickle it by name."""
+    if run == 1:
+        raise ValueError("run 1 failed")
+    return _run_family(params, run)
 
 
 class TestDataset:
@@ -359,15 +503,8 @@ class TestDataset:
         assert texts[0] == texts[1]
 
     def test_failed_run_reaches_the_caller_and_leaves_no_worker(self, monkeypatch):
-        real = pgsim.simulate_run
-
-        def failing(params, run):
-            if run == 1:
-                raise ValueError("run 1 failed")
-            return real(params, run)
-
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(pgsim, "simulate_run", failing)
+        monkeypatch.setattr(pgsim, "_run_family", _fail_run_1)
         with pytest.raises(ValueError, match="^run 1 failed$"):
             generate_dataset(SimParams(**{**TINY, "n_sims": 3}))
         assert multiprocessing.active_children() == []
