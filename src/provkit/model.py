@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import gc
 import json
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -135,10 +135,14 @@ class GraphFamily:
     Nodes are numbered over the disjoint union of the family: graph by graph
     in ``graph_ids`` order and, within a graph, in sorted id order.  Graph
     ``i`` owns nodes ``node_offsets[i]:node_offsets[i + 1]`` and edges
-    ``edge_offsets[i]:edge_offsets[i + 1]``.  ``node_sets[v]`` indexes
-    ``label_sets``, the distinct node label sets.  Edges carry int32 union
-    indices ``src``/``dst`` and an int8 code into :data:`EDGE_LABEL_ORDER`,
-    sorted by ``(src, dst, label)`` codes, which is ``ProvGraph``'s order.
+    ``edge_offsets[i]:edge_offsets[i + 1]``, int64 offsets.  ``node_sets[v]``
+    indexes ``label_sets``, the distinct node label sets, numbered in order of
+    first appearance among the nodes.  Edges carry int32 union indices
+    ``src``/``dst`` and an int8 code into :data:`EDGE_LABEL_ORDER`, sorted
+    by ``(src, dst, label)`` codes, which is ``ProvGraph``'s order.  The
+    arrays are frozen.  :meth:`from_records` validates graphs from any
+    source; :meth:`_from_columns`, which it ends in, trusts columns that are
+    already valid and is the one place that sets this invariant up.
     ``graphs`` builds per-graph :class:`ProvGraph` views on first use.
     """
 
@@ -153,27 +157,23 @@ class GraphFamily:
     edge_labels: np.ndarray
 
     def __init__(self, graphs: Iterable[ProvGraph]) -> None:
-        self._flatten((g.graph_id, g.nodes.items(), g.edges) for g in graphs)
+        family = self.from_records((g.graph_id, g.nodes.items(), g.edges) for g in graphs)
+        vars(self).update(vars(family))  # the validated family's columns become this one's
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, Iterable, Iterable]]) -> "GraphFamily":
         """A family from ``(graph id, (node id, labels) pairs, edge triples)``
         records: the one check of a graph from any source, :class:`ProvGraph`
         included.  Raises :class:`DataFormatError` naming the graph."""
-        family = cls.__new__(cls)
-        family._flatten(records)
-        return family
-
-    def _flatten(self, records) -> None:
         graph_ids: list[str] = []
         node_ids: list[str] = []
-        label_sets: list[frozenset[str]] = []
-        node_offsets, edge_offsets = array("q", [0]), array("q", [0])
+        label_table: list[frozenset[str]] = []
+        node_counts: list[int] = []
+        edge_counts: list[int] = []
         # Per-graph column parts, each seeded so that concatenation never sees none.
         parts = [[np.empty(0, t)] for t in (np.intc, np.int32, np.int32, np.int8)]
-        node_sets, src, dst, codes = parts
-        canon: dict[frozenset[str], int] = {}
-        fast: dict[tuple, int] = {}  # a label listing -> its set's id
+        node_codes, src, dst, codes = parts
+        fast: dict[tuple, int] = {}  # a label listing -> its entry in label_table
         seen: set[str] = set()
         for gid, node_items, edges in records:
             fault = f"graph {gid!r}: "
@@ -206,16 +206,13 @@ class GraphFamily:
             except TypeError:  # an unhashable label
                 raise DataFormatError(f"{fault}node labels must be strings") from None
             for key in fresh:
-                # Each distinct set is validated once, and listings in any
-                # order share its id.
-                labels = frozenset(key)
-                if labels not in canon:
-                    if bad := _label_fault(items[keys.index(key)][0], labels):
-                        raise DataFormatError(fault + bad)
-                    canon[labels] = len(label_sets)
-                    label_sets.append(labels)
-                fast[key] = canon[labels]
-            node_sets.append(np.fromiter(map(fast.__getitem__, keys), np.intc, len(keys)))
+                # Each listing is validated once; one set listed in two
+                # orders merges in the column build.
+                if bad := _label_fault(items[keys.index(key)][0], frozenset(key)):
+                    raise DataFormatError(fault + bad)
+                fast[key] = len(label_table)
+                label_table.append(frozenset(key))
+            node_codes.append(np.fromiter(map(fast.__getitem__, keys), np.intc, len(keys)))
             try:
                 if not set(map(len, edges)) <= {3}:
                     raise ValueError
@@ -225,89 +222,95 @@ class GraphFamily:
             except (KeyError, TypeError, ValueError):
                 raise DataFormatError(f"{fault}{_edge_fault(edges, index)}") from None
             graph_ids.append(gid)
-            node_offsets.append(len(node_ids))
-            edge_offsets.append(edge_offsets[-1] + len(edges))
-        node_sets, src, dst, codes = map(np.concatenate, parts)
-        order = _edge_order(src, dst, codes, len(node_ids))
-        self._set_columns(
-            tuple(graph_ids), np.frombuffer(node_offsets, np.int64), tuple(node_ids),
-            node_sets, tuple(label_sets),
-            np.frombuffer(edge_offsets, np.int64), src[order], dst[order], codes[order],
-        )
-
-    def _set_columns(self, *columns) -> None:
-        for f, column in zip(fields(self), columns):
-            if isinstance(column, np.ndarray):
-                column.flags.writeable = False
-            object.__setattr__(self, f.name, column)
-
-    def select(self, keep: Sequence[bool]) -> "GraphFamily":
-        """The graphs where the boolean mask ``keep`` is true, in family order.
-
-        Sliced from the columns, which are already valid, and equal to the
-        family built from those graphs: label sets are renumbered in order of
-        first appearance among the kept nodes.
-        """
-        kept = np.flatnonzero(keep)
-        n, e = self.node_offsets, self.edge_offsets
-        n_count, e_count = (n[1:] - n[:-1])[kept], (e[1:] - e[:-1])[kept]
-        node_offsets = np.concatenate(([0], np.cumsum(n_count)))
-        edge_offsets = np.concatenate(([0], np.cumsum(e_count)))
-        # Each kept graph's nodes move down by one shift, and so do its edges' ends.
-        shift = n[kept] - node_offsets[:-1]
-        nodes = np.arange(node_offsets[-1]) + np.repeat(shift, n_count)
-        edges = np.arange(edge_offsets[-1]) + np.repeat(e[kept] - edge_offsets[:-1], e_count)
-        edge_shift = np.repeat(shift, e_count).astype(self.src.dtype)
-        node_sets, label_sets = _in_first_appearance(self.node_sets[nodes], self.label_sets)
-        family = GraphFamily.__new__(GraphFamily)
-        family._set_columns(
-            tuple(map(self.graph_ids.__getitem__, kept.tolist())), node_offsets,
-            tuple(map(self.node_ids.__getitem__, nodes.tolist())), node_sets, label_sets,
-            edge_offsets, self.src[edges] - edge_shift, self.dst[edges] - edge_shift,
-            self.edge_labels[edges],
-        )
-        return family
+            node_counts.append(len(ids))
+            edge_counts.append(len(edges))
+        node_codes, src, dst, codes = map(np.concatenate, parts)
+        return cls._from_columns(graph_ids, node_ids, node_counts, node_codes, label_table,
+                                 edge_counts, src, dst, codes)
 
     @classmethod
-    def _join(cls, parts: Iterable["GraphFamily"]) -> "GraphFamily":
-        """Every graph of ``parts``, in order, as one family.
+    def _from_columns(cls, graph_ids, node_ids, node_counts, node_codes, label_table,
+                      edge_counts, src, dst, edge_codes) -> "GraphFamily":
+        """The family of columns that are already valid, trusted as they
+        come: the one place that sets the column invariant up.
 
-        Joined from the parts' columns, which are already valid, and equal to
-        the family built from all their records at once: each part's nodes
-        and edges move past the parts before it, and label sets are
-        renumbered in order of first appearance.  A graph id that repeats
-        across parts is a :class:`DataFormatError`.
+        ``node_ids`` lists each graph's nodes in sorted id order, and
+        ``node_counts``/``edge_counts`` hold one count per graph.
+        ``node_codes`` index ``label_table``, which may repeat or leave out
+        sets.  Edges are int32 union node indices and int8 label codes, in
+        any order.
+        """
+        n = len(node_ids)
+        # Exact while (nodes ** 2) * 16 < 2**63, far more nodes than fit in memory.
+        key = (src.astype(np.int64) * n + dst) * 16 + edge_codes
+        if (key[1:] < key[:-1]).any():  # gathered rows come sorted and stay put
+            by_edge = np.argsort(key, kind="stable")
+            src, dst, edge_codes = src[by_edge], dst[by_edge], edge_codes[by_edge]
+        del key
+        first = np.full(len(label_table), n)  # each entry's first node; n if no node has it
+        np.minimum.at(first, node_codes, np.arange(n))
+        distinct: dict[frozenset[str], int] = {}  # the used sets, by first appearance
+        renumber = np.zeros(len(label_table), np.intc)
+        for i in np.argsort(first)[: np.count_nonzero(first < n)].tolist():
+            renumber[i] = distinct.setdefault(label_table[i], len(distinct))
+        node_offsets, edge_offsets = (
+            np.concatenate(([0], np.cumsum(c, dtype=np.int64))) for c in (node_counts, edge_counts)
+        )
+        columns = (
+            tuple(graph_ids), node_offsets, tuple(node_ids), renumber[node_codes], tuple(distinct),
+            edge_offsets, src, dst, edge_codes,
+        )
+        family = cls.__new__(cls)
+        for f, column in zip(fields(cls), columns):
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+            object.__setattr__(family, f.name, column)
+        return family
+
+    def select(self, keep: Sequence[bool]) -> "GraphFamily":
+        """The graphs where the boolean mask ``keep`` is true, in family order."""
+        return self._gather([(self, np.flatnonzero(keep))])
+
+    @classmethod
+    def _gather(cls, pieces: Iterable[tuple["GraphFamily", Sequence[int]]]) -> "GraphFamily":
+        """The graphs at ``rows`` of each ``(family, rows)`` piece, in order, as one family.
+
+        Gathered from the pieces' columns, which are already valid, and equal
+        to the family built from those graphs' records.  A graph id that
+        repeats, within a piece or across pieces, is a :class:`DataFormatError`.
         """
         graph_ids: list[str] = []
         node_ids: list[str] = []
-        canon: dict[frozenset[str], int] = {}
-        # Per-part column parts, each seeded so that concatenation never sees none.
+        label_table: list[frozenset[str]] = []
+        # Per-piece column parts, each seeded so that concatenation never sees none.
         columns = [[np.empty(0, t)] for t in (np.int64, np.int64, np.intc, np.int32, np.int32, np.int8)]
-        n_count, e_count, node_sets, src, dst, codes = columns
+        node_counts, edge_counts, node_codes, src, dst, codes = columns
+        for family, rows in pieces:
+            rows = np.asarray(rows, np.int64)
+            n_count, nodes = _spans(family.node_offsets, rows)
+            e_count, edges = _spans(family.edge_offsets, rows)
+            starts, ends = family.node_offsets[rows], family.node_offsets[rows + 1]
+            # Each graph's nodes move from their old start to their new one,
+            # and so do its edges' ends.
+            moved = len(node_ids) + np.cumsum(n_count) - n_count - starts
+            shift = np.repeat(moved.astype(np.int32), e_count)
+            graph_ids += map(family.graph_ids.__getitem__, rows.tolist())
+            spans = map(slice, starts.tolist(), ends.tolist())
+            node_ids += chain.from_iterable(map(family.node_ids.__getitem__, spans))
+            node_counts.append(n_count)
+            edge_counts.append(e_count)
+            node_codes.append(family.node_sets[nodes] + len(label_table))
+            label_table += family.label_sets
+            src.append(family.src[edges] + shift)
+            dst.append(family.dst[edges] + shift)
+            codes.append(family.edge_labels[edges])
         seen: set[str] = set()
-        for part in parts:
-            if not seen.isdisjoint(part.graph_ids):
-                gid = next(gid for gid in part.graph_ids if gid in seen)
-                raise DataFormatError(f"graph {gid!r}: duplicate graph id")
-            seen.update(part.graph_ids)
-            base = len(node_ids)
-            n_count.append(np.diff(part.node_offsets))
-            e_count.append(np.diff(part.edge_offsets))
-            renumber = np.array([canon.setdefault(s, len(canon)) for s in part.label_sets], np.intc)
-            node_sets.append(renumber[part.node_sets])
-            src.append(part.src + base)
-            dst.append(part.dst + base)
-            codes.append(part.edge_labels)
-            graph_ids += part.graph_ids
-            node_ids += part.node_ids
-        n_count, e_count, node_sets, src, dst, codes = map(np.concatenate, columns)
-        node_offsets, edge_offsets = (np.concatenate(([0], np.cumsum(c))) for c in (n_count, e_count))
-        family = cls.__new__(cls)
-        family._set_columns(
-            tuple(graph_ids), node_offsets, tuple(node_ids), node_sets, tuple(canon),
-            edge_offsets, src, dst, codes,
-        )
-        return family
+        if repeated := [gid for gid in graph_ids if gid in seen or seen.add(gid)]:
+            raise DataFormatError(f"graph {repeated[0]!r}: duplicate graph id")
+        node_counts, edge_counts, node_codes, src, dst, codes = map(np.concatenate, columns)
+        del columns  # the pieces' parts, freed before the build sorts the edges
+        return cls._from_columns(graph_ids, node_ids, node_counts, node_codes, label_table,
+                                 edge_counts, src, dst, codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphFamily):
@@ -370,20 +373,11 @@ class GraphFamily:
         return tuple(ids), node_sets
 
 
-def _edge_order(src: np.ndarray, dst: np.ndarray, codes: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The stable permutation that sorts edges by ``(src, dst, label)`` codes."""
-    # Exact while (nodes ** 2) * 16 < 2**63, far more nodes than fit in memory.
-    return np.argsort((src.astype(np.int64) * n_nodes + dst) * 16 + codes, kind="stable")
-
-
-def _in_first_appearance(node_sets: np.ndarray, label_sets: Sequence) -> tuple[np.ndarray, tuple]:
-    """The label sets that ``node_sets`` use, renumbered in order of first
-    appearance: the new node codes and the used sets."""
-    used, first = np.unique(node_sets, return_index=True)
-    used = used[np.argsort(first)]
-    renumber = np.zeros(len(label_sets), np.intc)
-    renumber[used] = np.arange(len(used))
-    return renumber[node_sets], tuple(map(label_sets.__getitem__, used.tolist()))
+def _spans(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of the spans ``offsets[r]:offsets[r + 1]`` for ``rows``,
+    and the positions they cover, in order."""
+    counts = (offsets[1:] - offsets[:-1])[rows]
+    return counts, np.arange(counts.sum()) + np.repeat(offsets[rows] - (np.cumsum(counts) - counts), counts)
 
 
 def _label_fault(nid: str, labels: frozenset) -> str | None:

@@ -54,9 +54,8 @@ Each player's graph is recorded as integer columns: per node a code into a
 fixed table of nine label sets (agent, player, state, one per activity
 kind, stop, creature) and the number in its id, per edge two node positions
 and an edge-label code.  The run's one-run family is built from them once:
-each id is formatted once, each graph's nodes are sorted by id and its
-edges put in ``(src, dst, label)`` order, which is what the validating
-family build makes of the same graphs.
+each id is formatted once and each graph's nodes are sorted by id, and the
+trusted column build ``GraphFamily._from_columns`` does the rest.
 """
 
 from __future__ import annotations
@@ -67,9 +66,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import (
-    EDGE_LABEL_ORDER, Dataset, GraphFamily, ProvGraph, _edge_order, _in_first_appearance,
-)
+from .model import EDGE_LABEL_ORDER, Dataset, GraphFamily, ProvGraph
 
 TEAMS = ("Valor", "Mystic", "Instinct")
 MODES = ("targeting", "disposal")
@@ -136,10 +133,14 @@ class SimParams:
         object.__setattr__(self, "grid", (int(grid[0]), int(grid[1])))
         if min(self.grid) < 1:
             raise ValueError("grid dimensions must be positive")
+        if max(self.grid) > 2**63 - 1:  # coordinates and distances are int64
+            raise ValueError("grid dimensions must not exceed 2**63 - 1")
         if self.n_players < 3 or self.n_players % 3 != 0:
             raise ValueError("n_players must be a positive multiple of 3")
         if min(self.n_sims, self.n_pokemons, self.n_pokestops) < 1:
             raise ValueError("counts must be positive")
+        if self.seed + self.n_sims - 1 > 2**64 - 1:  # each run's seed keys a Philox stream
+            raise ValueError("seed + n_sims - 1 must not exceed 2**64 - 1")
         if self.max_storage < 1 or self.max_ticks < 1 or self.initial_balls < 0:
             raise ValueError("bad capacity settings")
         # Each range is drawn from, so an empty one would fail inside numpy.
@@ -267,43 +268,32 @@ class _PlayerColumns:
 def _family(graph_ids: list[str], players: list[_PlayerColumns]) -> GraphFamily:
     """The graphs of ``players`` as one family, built once from their columns.
 
-    Each id is formatted once; each graph's nodes are put in sorted id order,
-    edges in ``(src, dst, label)`` code order and label sets in order of
-    first appearance, which is what ``GraphFamily.from_records`` makes of
-    the same graphs.
+    Each id is formatted once and each graph's nodes are put in sorted id
+    order; the trusted column build ``GraphFamily._from_columns`` does the rest.
     """
     prefix, label_sets = zip(*_NODE_KINDS)
     node_ids: list[str] = []
     order: list[int] = []  # family position -> played position, over the run
     kinds: list[int] = []
     edges: list[int] = []
-    node_offsets, edge_offsets = [0], [0]
     for cols in players:
         numbered = map("{}{}".format, map(prefix.__getitem__, cols.kinds[2:]), cols.nums[2:])
         ids = ["agent", "player", *numbered]
         local = sorted(range(len(ids)), key=ids.__getitem__)
         node_ids += map(ids.__getitem__, local)
-        order += map(node_offsets[-1].__add__, local)
+        order += map(len(kinds).__add__, local)
         kinds += cols.kinds
         edges += cols.edges
-        node_offsets.append(len(kinds))
-        edge_offsets.append(len(edges) // 3)
-    n = len(kinds)
-    rank = np.empty(n, np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    node_offsets, edge_offsets = np.array(node_offsets), np.array(edge_offsets)
+    node_counts = [len(cols.kinds) for cols in players]
+    edge_counts = [len(cols.edges) // 3 for cols in players]
+    rank = np.empty(len(kinds), np.int32)
+    rank[order] = np.arange(len(kinds), dtype=np.int32)
     edges = np.array(edges, np.int32).reshape(-1, 3)
-    base = np.repeat(node_offsets[:-1].astype(np.int32), np.diff(edge_offsets))
-    src, dst = rank[edges[:, 0] + base], rank[edges[:, 1] + base]
-    codes = edges[:, 2].astype(np.int8)
-    by_edge = _edge_order(src, dst, codes, n)
-    node_sets, label_sets = _in_first_appearance(np.array(kinds, np.intc)[order], label_sets)
-    family = GraphFamily.__new__(GraphFamily)
-    family._set_columns(
-        tuple(graph_ids), node_offsets, tuple(node_ids), node_sets, label_sets,
-        edge_offsets, src[by_edge], dst[by_edge], codes[by_edge],
+    base = np.repeat(np.cumsum(node_counts) - node_counts, edge_counts)
+    return GraphFamily._from_columns(
+        graph_ids, node_ids, node_counts, np.array(kinds, np.intc)[order], label_sets,
+        edge_counts, rank[edges[:, 0] + base], rank[edges[:, 1] + base], edges[:, 2].astype(np.int8),
     )
-    return family
 
 
 class _World:
@@ -453,13 +443,13 @@ def generate_dataset(params: SimParams) -> Dataset:
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(params.n_sims, len(affinity(0))) if affinity else 1
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        family = GraphFamily._join(map(play, runs))
+        family = GraphFamily._gather((f, range(len(f))) for f in map(play, runs))
     else:
         # fork, not spawn: a worker starts with the simulator and numpy that
         # the parent has already imported.  Leaving the block terminates and
         # joins the workers, also on a raise.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            family = GraphFamily._join(pool.imap(play, runs))
+            family = GraphFamily._gather((f, range(len(f))) for f in pool.imap(play, runs))
             pool.close()
             pool.join()
     # n_players is a multiple of 3, so the graph at family position k is

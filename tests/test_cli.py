@@ -509,6 +509,17 @@ class TestExitCodes:
         assert "unknown mode 'bogus' (expected one of targeting, disposal)" in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--grid", 2**63, "--ticks", 2), "grid dimensions must not exceed 2**63 - 1"),
+         (("--seed", 2**64 - 1, "--sims", 2), "seed + n_sims - 1 must not exceed 2**64 - 1")],
+        ids=["grid", "seed"],
+    )
+    def test_out_of_range_sim_setting_is_usage(self, tmp_path, capsys, flags, message):
+        assert run("simulate", "--mode", "targeting", *flags, "--out", tmp_path / "sim") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_malformed_feature_name_is_usage(self, sim_dir):
         # Leading zeros would resolve to a name that no sidecar holds.
         for name in ("FB1_0", "FA03_0", "FA1_00"):

@@ -153,28 +153,55 @@ def _assert_same_columns(got: GraphFamily, want: GraphFamily) -> None:
             assert a == b, f.name
 
 
-class TestJoin:
+def test_one_set_listed_in_two_orders_is_one_label_set():
+    nodes = [("a", ["ent", "x:A"]), ("b", ["act"]), ("c", ["x:A", "ent"])]
+    family = GraphFamily.from_records([("g", nodes, [])])
+    assert family.label_sets == (frozenset({"ent", "x:A"}), frozenset({"act"}))
+    assert family.node_sets.tolist() == [0, 1, 0]
+
+
+class TestGather:
     @given(_records(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_joined_chunks_equal_the_whole(self, records, data):
+    def test_gathered_rows_equal_their_records(self, records, data):
+        """Pieces with any rows, in any order, of families cut from the
+        records: some pieces empty, one family used in several pieces."""
         cuts = data.draw(st.sets(st.integers(1, len(records) - 1)) if len(records) > 1 else st.just(set()))
         bounds = [0, *sorted(cuts), len(records)]
-        chunks = [records[a:b] for a, b in zip(bounds, bounds[1:])]
-        joined = GraphFamily._join(GraphFamily.from_records(chunk) for chunk in chunks)
-        _assert_same_columns(joined, GraphFamily.from_records(records))
+        families = [GraphFamily.from_records(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+        home = {i: (families[k], i - a) for k, a in enumerate(bounds[:-1]) for i in range(a, bounds[k + 1])}
+        chosen = [i for i in data.draw(st.permutations(range(len(records)))) if data.draw(st.booleans())]
+        pieces = []
+        for i in chosen:
+            family, row = home[i]
+            if not pieces or pieces[-1][0] is not family or data.draw(st.booleans()):
+                pieces.append((family, []))
+            pieces[-1][1].append(row)
+        for _ in range(data.draw(st.integers(0, 2))):
+            empty = (data.draw(st.sampled_from(families)), [])
+            pieces.insert(data.draw(st.integers(0, len(pieces))), empty)
+        gathered = GraphFamily._gather(pieces)
+        _assert_same_columns(gathered, GraphFamily.from_records([records[i] for i in chosen]))
 
-    def test_label_set_first_seen_in_a_later_chunk(self):
+    def test_label_set_first_seen_in_a_later_piece(self):
         records = [("a", [("n", ["ent"])], []),
                    ("b", [("m", ["act", "x:B"]), ("n", ["ent"])], [("m", "n", "use")])]
-        joined = GraphFamily._join(GraphFamily.from_records([r]) for r in records)
-        assert joined.label_sets == (frozenset({"ent"}), frozenset({"act", "x:B"}))
-        _assert_same_columns(joined, GraphFamily.from_records(records))
+        gathered = GraphFamily._gather((GraphFamily.from_records([r]), [0]) for r in records)
+        assert gathered.label_sets == (frozenset({"ent"}), frozenset({"act", "x:B"}))
+        _assert_same_columns(gathered, GraphFamily.from_records(records))
 
-    def test_graph_id_repeated_across_chunks_refused(self):
-        one = GraphFamily.from_records([("g", [("n", ["ent"])], [])])
-        two = GraphFamily.from_records([("h", [("n", ["ent"])], []), ("g", [("n", ["act"])], [])])
+    @pytest.mark.parametrize(
+        "spec",
+        [[("one", [0]), ("two", [1])], [("two", [1, 0, 1])], [("two", [1]), ("two", [0, 1])]],
+        ids=["across-families", "within-a-piece", "one-family-twice"],
+    )
+    def test_graph_id_repeated_refused(self, spec):
+        families = {
+            "one": GraphFamily.from_records([("g", [("n", ["ent"])], [])]),
+            "two": GraphFamily.from_records([("h", [("n", ["ent"])], []), ("g", [("n", ["act"])], [])]),
+        }
         with pytest.raises(DataFormatError, match=r"^graph 'g': duplicate graph id$"):
-            GraphFamily._join([one, two])
+            GraphFamily._gather((families[name], rows) for name, rows in spec)
 
 
 def test_read_json_reports_the_file(tmp_path):

@@ -118,3 +118,12 @@ def test_every_parameter_is_read():
             kept = KEPT_PARAMETERS.get((path.stem, name), set())
             unread += [f"{path.stem}.{name}({p})" for p in params if p not in read | kept]
     assert unread == []
+
+
+def test_only_model_sets_up_family_columns():
+    """``GraphFamily``'s column invariant has one home: no other module makes
+    a family around ``from_records`` and ``_from_columns``."""
+    internals = re.compile(r"_set_columns|__new__\(GraphFamily\)|_edge_order|_in_first_appearance")
+    offenders = [path.name for path in sorted(SRC.glob("*.py"))
+                 if path.name != "model.py" and internals.search(path.read_text(encoding="utf-8"))]
+    assert offenders == []

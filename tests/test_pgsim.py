@@ -157,6 +157,19 @@ class TestParams:
                            strength_max=1, n_sims=1, max_ticks=5)
         assert len(simulate_run(params, 0)) == params.n_players
 
+    @pytest.mark.parametrize(
+        "at_limit, over, message",
+        [({"grid": (3, 2**63 - 1)}, {"grid": (3, 2**63)}, r"^grid dimensions must not exceed 2\*\*63 - 1$"),
+         ({"seed": 2**64 - 1}, {"seed": 2**64 - 1, "n_sims": 2},
+          r"^seed \+ n_sims - 1 must not exceed 2\*\*64 - 1$")],
+        ids=["grid", "seed"],
+    )
+    def test_int64_limits(self, at_limit, over, message):
+        with pytest.raises(ValueError, match=message):
+            SimParams(**{"n_sims": 1, **over})
+        params = SimParams(**{"n_sims": 1, "max_ticks": 2, **at_limit})
+        assert len(generate_dataset(params)) == params.n_players
+
     def test_jsonable_round_trip(self):
         p = SimParams(mode="disposal", seed=3)
         blob = p.to_jsonable()
